@@ -84,13 +84,8 @@ def patchify(images: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 def patch_embed(images: np.ndarray, params: Mapping[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Project flattened patches to width d and add positional embeddings."""
-    patches = Tensor(patchify(images, cfg))
-    e = patches @ params["backbone.patch.w"] + params["backbone.patch.b"]
+    e = T.linear(patchify(images, cfg), params["backbone.patch.w"], params["backbone.patch.b"])
     return e + params["backbone.pos"]
-
-
-def _affine_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return T.layer_norm(x) * g + b
 
 
 def encoder_layer_forward(
@@ -102,36 +97,28 @@ def encoder_layer_forward(
     if tokens.shape[-1] != cfg.dim:
         raise ShapeError(f"token width {tokens.shape[-1]} does not match model width {cfg.dim}")
     base = f"backbone.layers.{layer_idx}"
-    b, s, d = tokens.shape
-    nh, hd = cfg.heads, cfg.head_dim
 
-    h = _affine_norm(tokens, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
-    q = h @ params[f"{base}.attn.wq"] + params[f"{base}.attn.bq"]
-    k = h @ params[f"{base}.attn.wk"] + params[f"{base}.attn.bk"]
-    v = h @ params[f"{base}.attn.wv"] + params[f"{base}.attn.bv"]
-    # (B, S, d) -> (B, heads, S, head_dim)
-    q = q.reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-    k = k.reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-    v = v.reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-    attn = T.softmax(scores, axis=-1)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
-    attn_out = ctx @ params[f"{base}.attn.wo"] + params[f"{base}.attn.bo"]
-    x = tokens + attn_out
+    def w(name: str) -> Tensor:
+        return params[f"{base}.{name}"]
 
-    h2 = _affine_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
-    mlp = T.gelu(h2 @ params[f"{base}.mlp.w1"] + params[f"{base}.mlp.b1"])
-    mlp = mlp @ params[f"{base}.mlp.w2"] + params[f"{base}.mlp.b2"]
+    h = T.layer_norm(tokens, w("ln1.g"), w("ln1.b"))
+    q = T.linear(h, w("attn.wq"), w("attn.bq"))
+    k = T.linear(h, w("attn.wk"), w("attn.bk"))
+    v = T.linear(h, w("attn.wv"), w("attn.bv"))
+    x = tokens + T.linear(T.attention(q, k, v, cfg.heads), w("attn.wo"), w("attn.bo"))
+
+    h2 = T.layer_norm(x, w("ln2.g"), w("ln2.b"))
+    mlp = T.linear(T.gelu(T.linear(h2, w("mlp.w1"), w("mlp.b1"))), w("mlp.w2"), w("mlp.b2"))
     return x + mlp
 
 
 def final_norm(tokens: Tensor, params: Mapping[str, Tensor]) -> Tensor:
-    return _affine_norm(tokens, params["backbone.ln_f.g"], params["backbone.ln_f.b"])
+    return T.layer_norm(tokens, params["backbone.ln_f.g"], params["backbone.ln_f.b"])
 
 
 def classify(cls_out: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """Affine map from the CLS representation(s) to class logits."""
-    return cls_out @ params["head.w"] + params["head.b"]
+    return T.linear(cls_out, params["head.w"], params["head.b"])
 
 
 def freeze_backbone(params: Params) -> frozenset[str]:

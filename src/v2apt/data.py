@@ -83,8 +83,13 @@ class Dataset:
             )
         if len(self) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValidationError(f"label out of range [0, {self.num_classes})")
-        if len(self) and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValidationError("pixel values outside [0, 1]")
+        if len(self):
+            lo, hi = self.images.min(), self.images.max()
+            # min and max propagate NaN, and an infinity is one of the extremes
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValidationError("non-finite pixel values")
+            if lo < 0.0 or hi > 1.0:
+                raise ValidationError("pixel values outside [0, 1]")
         return self
 
 

@@ -105,20 +105,6 @@ def merge_sequence(cls: Tensor, prompts: Tensor | None, embeddings: Tensor) -> T
     return T.concat([cls, prompts, embeddings], axis=-2)
 
 
-def inject_first_layer(
-    prompts: Tensor,
-    embeddings: Tensor,
-    cls: Tensor,
-    params: Mapping[str, Tensor],
-    cfg: ModelConfig,
-) -> tuple[Tensor, SequenceLayout]:
-    """Assemble [CLS; P1; E] and run layer 0; returns output and the layout."""
-    layout = SequenceLayout(prompt_len=prompts.shape[-2], num_patches=embeddings.shape[-2])
-    seq = merge_sequence(cls, prompts, embeddings)
-    layout.check(seq)
-    return encoder_layer_forward(0, seq, params, cfg), layout
-
-
 def inject_deep(
     prompts: Tensor,
     prev_stripped: Tensor,

@@ -13,12 +13,18 @@ import zlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 class SeededStreams:
     """Factory for independent named random streams under one master seed."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        seed = int(seed)
+        # the seed is a u32 in the .v2ds header and an entropy word for numpy
+        if not 0 <= seed < 2**32:
+            raise ValidationError(f"seed must be in [0, 2**32), got {seed}")
+        self.seed = seed
 
     def generator(self, name: str, cursor: int = 0) -> np.random.Generator:
         """Return a fresh generator for stream `name` at position `cursor`.

@@ -8,6 +8,11 @@ Broadcasting is deliberately minimal: `add` and `mul` align a trailing-shape
 operand (a bias or a per-feature scale) against the leading axes of the other,
 and `expand_leading` stacks a tensor along a new batch axis. Nothing else
 broadcasts, which keeps every adjoint a few lines of auditable numpy.
+
+Adjoints are frozen-aware: a multi-input primitive computes the gradient of
+an input only when that input requires one, so a frozen weight costs no
+backward work. `linear`, affine `layer_norm` and `attention` are fused
+primitives, one tape record each, for the transformer's hot path.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
@@ -229,8 +234,9 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)  # an owned copy: `g` may alias another grad
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,33 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not suffix-aligned")
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as an axis of 1, by a matrix-vector product.
+
+    numpy reduces a short contiguous axis (25 to 200 here) row by row, several
+    times slower than one BLAS pass.
+    """
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n, dtype=x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Exact max over the last axis, kept as an axis of 1, one column at a time."""
+    cols = x.reshape(-1, x.shape[-1])
+    m = cols[:, 0].copy()
+    for j in range(1, cols.shape[1]):
+        np.maximum(m, cols[:, j], out=m)
+    return m.reshape(x.shape[:-1] + (1,))
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array the caller owns, in place."""
+    x -= _row_max(x)  # overflow guard
+    np.exp(x, out=x)
+    x /= _row_sum(x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -266,8 +299,10 @@ def add(a, b) -> Tensor:
     out = _out(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, _reduce_to(g, a.shape))
-        accumulate_grad(b, _reduce_to(g, b.shape))
+        if a.requires_grad:
+            accumulate_grad(a, _reduce_to(g, a.shape))
+        if b.requires_grad:
+            accumulate_grad(b, _reduce_to(g, b.shape))
 
     record_operation("add", (a, b), out, adjoint)
     return out
@@ -279,8 +314,10 @@ def mul(a, b) -> Tensor:
     out = _out(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, _reduce_to(g * b.data, a.shape))
-        accumulate_grad(b, _reduce_to(g * a.data, b.shape))
+        if a.requires_grad:
+            accumulate_grad(a, _reduce_to(g * b.data, a.shape))
+        if b.requires_grad:
+            accumulate_grad(b, _reduce_to(g * a.data, b.shape))
 
     record_operation("mul", (a, b), out, adjoint)
     return out
@@ -315,16 +352,53 @@ def matmul(a, b) -> Tensor:
     out = _out(a.data @ b.data, a.requires_grad or b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        accumulate_grad(a, g @ bt)
+        if a.requires_grad:
+            accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
+        if not b.requires_grad:
+            return
         if shared_rhs:
             k, n = b.shape
             accumulate_grad(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
         else:
-            accumulate_grad(b, at @ g)
+            accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
 
     record_operation("matmul", (a, b), out, adjoint)
+    return out
+
+
+def linear(x, w, b=None) -> Tensor:
+    """Affine map `x @ w + b` over the last axis of `x`.
+
+    `w` is (k, n) and `b`, if given, is (n,). The leading axes of `x` are
+    flattened into one 2-D product, and the bias is added in place: one tape
+    record instead of a matmul and an add.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot apply weight {w.shape} to input {x.shape}")
+    k, n = w.shape
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != (n,):
+            raise ShapeError(f"linear: bias {b.shape} does not match output width {n}")
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
+    needs_grad = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
+    out = _out(y.reshape(x.shape[:-1] + (n,)), needs_grad)
+
+    def adjoint(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            accumulate_grad(x, (g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            accumulate_grad(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            accumulate_grad(b, g2.sum(axis=0))
+
+    inputs = (x, w) if b is None else (x, w, b)
+    record_operation("linear", inputs, out, adjoint)
     return out
 
 
@@ -373,9 +447,10 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     def adjoint(g: np.ndarray) -> None:
         offset = 0
         for p, n in zip(parts, extents):
-            sl = [slice(None)] * rank
-            sl[ax] = slice(offset, offset + n)
-            accumulate_grad(p, g[tuple(sl)])
+            if p.requires_grad:
+                sl = [slice(None)] * rank
+                sl[ax] = slice(offset, offset + n)
+                accumulate_grad(p, g[tuple(sl)])
             offset += n
 
     record_operation("concat", tuple(parts), out, adjoint)
@@ -468,15 +543,91 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+# Float32 GELU reads the Gaussian tail e(a) = Phi(-a), a = |x|, from a table
+# at steps of 1/1024, interpolated linearly, and takes
+#     gelu(x) = max(x, 0) - |x| * e(|x|)
+# which is exact algebra for both signs. The tail is small where |x| is large,
+# so its float32 rounding stays far below the output's own. Past a = 6 the
+# tail (1e-9) is taken as 0 and GELU is exactly relu.
+_TAIL_STEP = 1.0 / 1024
+_TAIL_END = 6.0
+
+
+def _tail_table() -> tuple[np.ndarray, np.ndarray]:
+    a = np.arange(round(_TAIL_END / _TAIL_STEP) + 2) * _TAIL_STEP
+    tail = ndtr(-a)
+    tail[-2:] = 0.0
+    return tail[:-1].astype(np.float32), np.diff(tail).astype(np.float32)
+
+
+_TAIL, _TAIL_SLOPE = _tail_table()
+
+# GELU works through its input in blocks of this many elements, so one
+# block's temporaries (about 400 KiB) stay in a core's L2 cache instead of
+# streaming the whole activation through memory once per operation.
+GELU_BLOCK = 1 << 14
+
+
+def _blocks(n: int):
+    return ((lo, min(lo + GELU_BLOCK, n)) for lo in range(0, n, GELU_BLOCK))
+
+
 def gelu(a) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit.
+
+    Float64 mode takes erf from scipy, the reference. Float32 mode uses the
+    tail table above, block by block; it stays within 5e-7 of the float64
+    reference and is exactly 0 at 0.
+    """
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = _out(a.data * cdf, a.requires_grad)
+    x = np.ascontiguousarray(a.data).reshape(-1)
+    keep = a.requires_grad and _active_tape() is not None  # the adjoint needs the cdf
+    if x.dtype == np.float64:
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        y = x * cdf
+    else:
+        y = np.empty_like(x)
+        cdf = np.empty_like(x) if keep else None
+        m = min(GELU_BLOCK, x.size)
+        absx, pos, low, tail = np.empty((4, m), dtype=np.float32)
+        idx = np.empty(m, dtype=np.intp)
+        for lo, hi in _blocks(x.size):
+            n = hi - lo
+            xb, ab, u, w, e, i = x[lo:hi], absx[:n], pos[:n], low[:n], tail[:n], idx[:n]
+            np.abs(xb, out=ab)
+            np.minimum(ab, _TAIL_END, out=ab)
+            np.multiply(ab, 1.0 / _TAIL_STEP, out=u)
+            np.trunc(u, out=w)
+            np.copyto(i, w, casting="unsafe")
+            u -= w  # position between table entries
+            np.take(_TAIL_SLOPE, i, out=e, mode="clip")
+            e *= u
+            e += np.take(_TAIL, i, out=w, mode="clip")
+            ab *= e
+            np.maximum(xb, 0.0, out=y[lo:hi])
+            y[lo:hi] -= ab
+            if keep:  # Phi(x): e below 0, 1 - e above
+                c = cdf[lo:hi]
+                np.subtract(0.5, e, out=c)
+                np.copysign(c, xb, out=c)
+                c += 0.5
+    out = _out(y.reshape(a.shape), a.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        accumulate_grad(a, g * (cdf + a.data * pdf))
+        gf = g.reshape(-1)
+        dx = np.empty_like(x)
+        buf = np.empty(min(GELU_BLOCK, x.size), dtype=x.dtype)
+        for lo, hi in _blocks(x.size):
+            xb, t = x[lo:hi], buf[:hi - lo]
+            # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+            np.multiply(xb, -0.5, out=t)
+            t *= xb
+            np.exp(t, out=t)
+            t *= _INV_SQRT2PI
+            t *= xb
+            t += cdf[lo:hi]
+            np.multiply(gf[lo:hi], t, out=dx[lo:hi])
+        accumulate_grad(a, dx.reshape(a.shape))
 
     record_operation("gelu", (a,), out, adjoint)
     return out
@@ -487,9 +638,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     ax = axis + a.ndim if axis < 0 else axis
     if not 0 <= ax < a.ndim:
         raise ShapeError(f"softmax: axis {axis} out of range for rank {a.ndim}")
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)  # overflow guard
-    e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
+    y = np.moveaxis(_softmax_rows(np.moveaxis(a.data, ax, -1).copy()), -1, ax)
     out = _out(y, a.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
@@ -500,26 +649,104 @@ def softmax(a, axis: int = -1) -> Tensor:
     return out
 
 
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of (B, S, d) projections.
+
+    The width d splits into `heads` blocks of d / heads; each head attends
+    over the S positions, and the heads merge back into (B, S, d). One tape
+    record: the adjoint works from the saved softmax, and no scores or
+    per-head contexts are kept.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(
+            f"attention needs equal (B, S, d) operands, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    b, s, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def split(t: np.ndarray) -> np.ndarray:  # (B, S, d) -> (B, heads, S, hd) view
+        return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(t: np.ndarray) -> np.ndarray:  # (B, heads, S, hd) -> (B, S, d)
+        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    p = q4 @ np.swapaxes(k4, -1, -2)
+    p *= scale
+    _softmax_rows(p)
+    out = _out(merge(p @ v4), q.requires_grad or k.requires_grad or v.requires_grad)
+
+    def adjoint(g: np.ndarray) -> None:
+        g4 = split(g)
+        if v.requires_grad:
+            accumulate_grad(v, merge(np.swapaxes(p, -1, -2) @ g4))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = g4 @ np.swapaxes(v4, -1, -2)
+        ds -= _row_sum(ds * p)
+        ds *= p
+        ds *= scale
+        if q.requires_grad:
+            accumulate_grad(q, merge(ds @ k4))
+        if k.requires_grad:
+            accumulate_grad(k, merge(np.swapaxes(ds, -1, -2) @ q4))
+
+    record_operation("attention", (q, k, v), out, adjoint)
+    return out
+
+
 LAYER_NORM_EPS = 1e-6
 
 
-def layer_norm(a, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine part)."""
+def layer_norm(a, gamma=None, beta=None, eps: float = LAYER_NORM_EPS) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance, then `* gamma + beta`.
+
+    The affine part is optional; `gamma` and `beta` come as a pair, each of
+    the normalized width.
+    """
     a = as_tensor(a)
-    if a.shape[-1] == 0:
+    d = a.shape[-1] if a.ndim else 0
+    if d == 0:
         raise ShapeError("layer_norm over an empty axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    affine = gamma is not None or beta is not None
+    if affine:
+        if gamma is None or beta is None:
+            raise ShapeError("layer_norm: gamma and beta come as a pair")
+        gamma, beta = as_tensor(gamma), as_tensor(beta)
+        if gamma.shape != (d,) or beta.shape != (d,):
+            raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be ({d},)")
+    mu = _row_sum(a.data) / d
+    centered = a.data - mu
+    var = _row_sum(centered * centered) / d
     inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
-    out = _out(y, a.requires_grad)
+    y = centered * inv
+    if affine:
+        z = y * gamma.data
+        z += beta.data
+        needs_grad = a.requires_grad or gamma.requires_grad or beta.requires_grad
+    else:
+        z, needs_grad = y, a.requires_grad
+    out = _out(z, needs_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
+        if affine:
+            if gamma.requires_grad:
+                accumulate_grad(gamma, (g * y).reshape(-1, d).sum(axis=0))
+            if beta.requires_grad:
+                accumulate_grad(beta, g.reshape(-1, d).sum(axis=0))
+            if not a.requires_grad:
+                return
+            g = g * gamma.data
+        gm = _row_sum(g) / d
+        gym = _row_sum(g * y) / d
         accumulate_grad(a, inv * (g - gm - y * gym))
 
-    record_operation("layer_norm", (a,), out, adjoint)
+    inputs = (a, gamma, beta) if affine else (a,)
+    record_operation("layer_norm", inputs, out, adjoint)
     return out
 
 

@@ -79,13 +79,18 @@ class AdamW:
         for name in frozen:
             if name in params and params[name].grad is not None:
                 raise ContractError(f"freeze violation: frozen parameter {name!r} has a gradient")
+        # check every gradient before touching any parameter
+        for name in self.names:
+            g = params[name].grad
+            if g is None:
+                raise ContractError(f"no gradient for trainable parameter {name!r}")
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r} at step {self.t}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name in self.names:
             p = params[name]
-            if p.grad is None:
-                raise ContractError(f"no gradient for trainable parameter {name!r}")
             g = p.grad
             m = self.m.get(name)
             if m is None:

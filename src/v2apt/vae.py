@@ -70,8 +70,8 @@ def encode(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> LatentD
     """GELU-hidden MLP to 2z values, split into mu and clamped logvar."""
     if x.shape[-1] != cfg.dim:
         raise ShapeError(f"encoder input width {x.shape[-1]} does not match d={cfg.dim}")
-    h = T.gelu(x @ params["vae.enc.w1"] + params["vae.enc.b1"])
-    both = h @ params["vae.enc.w2"] + params["vae.enc.b2"]
+    h = T.gelu(T.linear(x, params["vae.enc.w1"], params["vae.enc.b1"]))
+    both = T.linear(h, params["vae.enc.w2"], params["vae.enc.b2"])
     z = cfg.latent_dim
     mu = T.slice_axis(both, -1, 0, z)
     logvar = T.clamp(T.slice_axis(both, -1, z, 2 * z), LOGVAR_LO, LOGVAR_HI)
@@ -105,8 +105,8 @@ def decode(z: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> list[Te
     """Latent draw -> N instance prompt blocks of k_inst x d, layer-major."""
     if z.shape[-1] != cfg.latent_dim:
         raise ShapeError(f"decoder input width {z.shape[-1]} does not match z={cfg.latent_dim}")
-    h = T.gelu(z @ params["vae.dec.w1"] + params["vae.dec.b1"])
-    flat = h @ params["vae.dec.w2"] + params["vae.dec.b2"]
+    h = T.gelu(T.linear(z, params["vae.dec.w1"], params["vae.dec.b1"]))
+    flat = T.linear(h, params["vae.dec.w2"], params["vae.dec.b2"])
     lead = z.shape[:-1]
     stacked = flat.reshape(*lead, cfg.depth, cfg.prompt_inst, cfg.dim)
     axis = len(lead)  # the layer axis

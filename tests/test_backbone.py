@@ -5,7 +5,7 @@ import pytest
 
 from v2apt import backbone as B
 from v2apt import tensor as T
-from v2apt.config import ModelConfig, tiny_config
+from v2apt.config import ModelConfig, default_config, tiny_config
 from v2apt.errors import ConfigError, ShapeError
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tape, Tensor
@@ -168,3 +168,71 @@ def test_backbone_grads_flow_when_unfrozen():
                  "backbone.layers.0.attn.wq", "backbone.layers.1.mlp.w2"):
         assert params[name].grad is not None
         assert np.linalg.norm(params[name].grad) > 0, name
+
+
+def _unfused_encoder_layer(layer_idx, tokens, params, cfg):
+    """The encoder block as composed before the fused primitives: the reference."""
+    base = f"backbone.layers.{layer_idx}"
+    b, s, d = tokens.shape
+    nh, hd = cfg.heads, cfg.head_dim
+
+    def affine_norm(x, g, beta):
+        return T.layer_norm(x) * g + beta
+
+    def heads(t):
+        return t.reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
+
+    h = affine_norm(tokens, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"])
+    q = heads(h @ params[f"{base}.attn.wq"] + params[f"{base}.attn.bq"])
+    k = heads(h @ params[f"{base}.attn.wk"] + params[f"{base}.attn.bk"])
+    v = heads(h @ params[f"{base}.attn.wv"] + params[f"{base}.attn.bv"])
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    ctx = (T.softmax(scores, axis=-1) @ v).transpose(0, 2, 1, 3).reshape(b, s, d)
+    x = tokens + (ctx @ params[f"{base}.attn.wo"] + params[f"{base}.attn.bo"])
+    h2 = affine_norm(x, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"])
+    mlp = T.gelu(h2 @ params[f"{base}.mlp.w1"] + params[f"{base}.mlp.b1"])
+    return x + (mlp @ params[f"{base}.mlp.w2"] + params[f"{base}.mlp.b2"])
+
+
+def _layer_output_and_input_grad(layer_fn, frozen, batch=8):
+    cfg, params = make(default_config(), seed=5)
+    if frozen:
+        B.freeze_backbone(params)
+    g = np.random.default_rng(6)
+    x = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)), requires_grad=True)
+    probe = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)))
+    with Tape() as tape:
+        y = layer_fn(1, x, params, cfg)
+        tape.backward((y * probe).sum())
+    return y.data, x.grad
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_fused_layer_matches_unfused_float64(frozen):
+    # outputs are bit-identical; the input gradient differs by rounding only,
+    # because the old stacked matmul adjoint sums in a different order
+    with T.float64_mode():
+        y1, g1 = _layer_output_and_input_grad(B.encoder_layer_forward, frozen)
+        y0, g0 = _layer_output_and_input_grad(_unfused_encoder_layer, frozen)
+    np.testing.assert_array_equal(y1, y0)
+    np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_fused_layer_matches_unfused_float32(frozen):
+    y1, g1 = _layer_output_and_input_grad(B.encoder_layer_forward, frozen)
+    y0, g0 = _layer_output_and_input_grad(_unfused_encoder_layer, frozen)
+    np.testing.assert_allclose(y1, y0, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-5)
+
+
+def test_fused_layer_records_twelve_primitives():
+    cfg, params = make()
+    B.freeze_backbone(params)
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.dim)), requires_grad=True)
+    with Tape() as tape:
+        B.encoder_layer_forward(0, x, params, cfg)
+    assert [r.op for r in tape.records] == [
+        "layer_norm", "linear", "linear", "linear", "attention", "linear", "add",
+        "layer_norm", "linear", "gelu", "linear", "add",
+    ]

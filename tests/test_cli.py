@@ -98,6 +98,17 @@ def test_unknown_preset_exits_2_and_lists_names(capsys, tmp_path):
     assert "easy-3" in err and "shift-B-hard" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**32), "8589934592"])
+def test_out_of_range_seed_exits_2(capsys, tmp_path, seed):
+    out = tmp_path / "x.v2ds"
+    rc = main(["gen-data", "--preset", "easy-3", "--seed", seed, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: seed must be in [0, 2**32)")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_data_file_exits_3(workdir, tmp_path):
     rc = main(["eval", "--ckpt", str(workdir / "tuned.v2ap"), "--data", str(tmp_path / "no.v2ds")])
     assert rc == 3

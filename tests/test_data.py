@@ -165,6 +165,40 @@ def test_label_out_of_range_in_file(tmp_path):
         D.load_dataset(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixels_rejected(tmp_path, bad):
+    import struct
+    import zlib
+
+    ds = D.generate(small_spec(), seed=0)
+    ds.images[1, 2, 3, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        ds.validate()
+    # the same pixel written straight into a file fails on load
+    ds.images[1, 2, 3, 0] = 0.5
+    p = tmp_path / "nonfinite.v2ds"
+    D.save_dataset(ds, p)
+    blob = bytearray(p.read_bytes()[:-4])
+    off = 32 + 4 * int(np.ravel_multi_index((1, 2, 3, 0), ds.images.shape))
+    blob[off:off + 4] = struct.pack("<f", bad)
+    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="non-finite"):
+        D.load_dataset(p)
+
+
+def test_seed_range_checked_once_in_streams():
+    from v2apt.rng import SeededStreams
+
+    SeededStreams(0)
+    SeededStreams(2**32 - 1)
+    for seed in (-1, 2**32):
+        with pytest.raises(ValidationError, match="seed"):
+            SeededStreams(seed)
+        with pytest.raises(ValidationError, match="seed"):
+            D.generate(small_spec(), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # split
 

@@ -242,6 +242,15 @@ def test_softmax_grad():
         check(lambda: (T.softmax(x, axis=-1) * w).sum(), {"x": x})
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_softmax_matches_numpy_on_any_axis(axis):
+    with float64_mode():
+        x = rng().standard_normal((3, 4, 5)) * 4
+        got = T.softmax(Tensor(x), axis=axis).data
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    np.testing.assert_allclose(got, e / e.sum(axis=axis, keepdims=True), rtol=0, atol=1e-15)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(-50, 50))
 def test_layer_norm_shift_invariance_property(seed, shift):
@@ -386,3 +395,213 @@ def test_gaussian_is_reproducible_and_untracked():
     b = T.gaussian((3, 2), np.random.Generator(np.random.Philox(42)))
     np.testing.assert_array_equal(a.data, b.data)
     assert not a.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# fused primitives and frozen-aware adjoints
+
+
+def _frozen_grads_stay_none(frozen):
+    for t in frozen:
+        assert t.grad is None
+
+
+def test_linear_matches_matmul_plus_bias():
+    x = rng().standard_normal((2, 3, 4)).astype(np.float32)
+    w = rng().standard_normal((4, 5)).astype(np.float32)
+    b = rng().standard_normal(5).astype(np.float32)
+    got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    np.testing.assert_allclose(got, x @ w + b, atol=1e-5)
+    assert T.linear(Tensor(x), Tensor(w)).shape == (2, 3, 5)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
+def test_linear_grads_all_trainable_and_frozen_weights(shape):
+    with float64_mode():
+        g = rng()
+        x = Tensor(g.standard_normal(shape), requires_grad=True)
+        w = Tensor(g.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(g.standard_normal(5), requires_grad=True)
+        probe = Tensor(g.standard_normal(shape[:-1] + (5,)))
+        check(lambda: (T.linear(x, w, b) * probe).sum(), {"x": x, "w": w, "b": b})
+        w.requires_grad = b.requires_grad = False
+        w.grad = b.grad = None
+        check(lambda: (T.linear(x, w, b) * probe).sum(), {"x": x})
+        _frozen_grads_stay_none((w, b))
+        x.requires_grad, w.requires_grad = False, True
+        x.grad = None
+        check(lambda: (T.linear(x, w) * probe).sum(), {"w": w})
+        _frozen_grads_stay_none((x,))
+
+
+def test_linear_shape_errors():
+    with pytest.raises(errors.ShapeError, match="weight"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(errors.ShapeError, match="bias"):
+        T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
+
+
+def test_affine_layer_norm_grads_all_trainable_and_frozen_weights():
+    with float64_mode():
+        g = rng()
+        x = Tensor(g.standard_normal((2, 3, 6)) * 2 + 1, requires_grad=True)
+        gamma = Tensor(g.standard_normal(6), requires_grad=True)
+        beta = Tensor(g.standard_normal(6), requires_grad=True)
+        probe = Tensor(g.standard_normal((2, 3, 6)))
+        loss = lambda: (T.layer_norm(x, gamma, beta) * probe).sum()  # noqa: E731
+        check(loss, {"x": x, "gamma": gamma, "beta": beta})
+        gamma.requires_grad = beta.requires_grad = False
+        gamma.grad = beta.grad = None
+        check(loss, {"x": x})
+        _frozen_grads_stay_none((gamma, beta))
+        x.requires_grad, gamma.requires_grad, beta.requires_grad = False, True, True
+        x.grad = None
+        check(loss, {"gamma": gamma, "beta": beta})
+        _frozen_grads_stay_none((x,))
+
+
+def test_affine_layer_norm_equals_norm_times_gamma_plus_beta():
+    with float64_mode():
+        g = rng()
+        x, gamma, beta = g.standard_normal((3, 8)), g.standard_normal(8), g.standard_normal(8)
+        fused = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        plain = (T.layer_norm(Tensor(x)) * Tensor(gamma) + Tensor(beta)).data
+        np.testing.assert_array_equal(fused, plain)
+        # row means come from a matrix-vector product, so only rounding differs
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + T.LAYER_NORM_EPS) * gamma + beta
+        np.testing.assert_allclose(fused, want, rtol=0, atol=1e-12)
+    with pytest.raises(errors.ShapeError, match="pair"):
+        T.layer_norm(Tensor(x), Tensor(gamma))
+    with pytest.raises(errors.ShapeError):
+        T.layer_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+
+def _attention_reference(q, k, v, heads):
+    b, s, d = q.shape
+    hd = d // heads
+    split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)  # noqa: E731
+    scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(hd)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return (p @ split(v)).transpose(0, 2, 1, 3).reshape(b, s, d)
+
+
+def test_attention_matches_reference():
+    g = rng()
+    q, k, v = (g.standard_normal((2, 5, 6)) for _ in range(3))
+    with float64_mode():
+        got = T.attention(Tensor(q), Tensor(k), Tensor(v), heads=3).data
+    np.testing.assert_allclose(got, _attention_reference(q, k, v, 3), atol=1e-12)
+
+
+def test_attention_grads_all_trainable_and_frozen_inputs():
+    with float64_mode():
+        g = rng()
+        q, k, v = (Tensor(g.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(3))
+        probe = Tensor(g.standard_normal((2, 4, 6)))
+        loss = lambda: (T.attention(q, k, v, heads=2) * probe).sum()  # noqa: E731
+        check(loss, {"q": q, "k": k, "v": v})
+        for trainable in (q, k, v):
+            for t in (q, k, v):
+                t.requires_grad = t is trainable
+                t.grad = None
+            check(loss, {"only": trainable})
+            _frozen_grads_stay_none([t for t in (q, k, v) if t is not trainable])
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.zeros((2, 4, 6)))
+    with pytest.raises(errors.ShapeError, match="heads"):
+        T.attention(x, x, x, heads=4)
+    with pytest.raises(errors.ShapeError):
+        T.attention(x, Tensor(np.zeros((2, 3, 6))), x, heads=2)
+
+
+def test_adjoints_never_hand_a_frozen_input_a_gradient(monkeypatch):
+    seen = []
+    real = T.accumulate_grad
+
+    def spy(t, g):
+        seen.append(t)
+        real(t, g)
+
+    monkeypatch.setattr(T, "accumulate_grad", spy)
+    g = rng()
+    x = Tensor(g.standard_normal((2, 3, 4)), requires_grad=True)
+    frozen = [Tensor(g.standard_normal(shape)) for shape in ((4, 4), (4,), (4,), (4,), (4, 4))]
+    w, b, gamma, beta, w2 = frozen
+    with Tape() as tape:
+        h = T.layer_norm(x, gamma, beta)
+        a = T.attention(T.linear(h, w, b), h, h, heads=2)
+        const = T.expand_leading(T.expand_leading(gamma, 3), 2)  # frozen (2, 3, 4)
+        y = T.concat([(a @ w2) * b + b, const], axis=1)
+        tape.backward(y.sum())
+    assert seen and all(t.requires_grad for t in seen)
+    assert x.grad is not None
+    _frozen_grads_stay_none(frozen)
+
+
+def test_first_gradient_write_is_an_owned_copy():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        y = a + b
+        loss = (y * 2.0).sum()
+        tape.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, y.grad)
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0, dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# float32 GELU: interpolated Gaussian tail, computed in blocks
+
+
+def _gelu_reference(x):
+    from scipy.special import erf
+
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def test_float32_gelu_error_bound_against_float64_scipy():
+    x = np.linspace(-6.0, 6.0, 480_001).astype(np.float32)  # not a multiple of the block
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    assert np.abs(got - _gelu_reference(x)).max() <= 5e-7
+    assert T.gelu(Tensor(np.zeros(3, dtype=np.float32))).data.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_float32_gelu_clamp_region():
+    # from |x| = 6 on the Gaussian tail is taken as 0: GELU is exactly relu
+    x = np.array([6.0, 6.5, 10.0, 1e4, np.inf], dtype=np.float32)
+    np.testing.assert_array_equal(T.gelu(Tensor(x)).data, x)
+    np.testing.assert_array_equal(T.gelu(Tensor(-x)).data, np.zeros(5, dtype=np.float32))
+    edge = np.float32(np.nextafter(np.float32(6.0), np.float32(0.0)))  # last point inside
+    got = T.gelu(Tensor(np.array([edge, -edge]))).data
+    np.testing.assert_allclose(got, _gelu_reference([edge, -edge]), rtol=0, atol=5e-7)
+
+
+@pytest.mark.parametrize("n", [1, 5, T.GELU_BLOCK - 1, T.GELU_BLOCK, 2 * T.GELU_BLOCK + 7])
+def test_float32_gelu_blocking_is_invisible(n):
+    x = (np.random.default_rng(n).standard_normal(n) * 3).astype(np.float32)
+    whole = T.gelu(Tensor(x)).data
+    pieces = np.concatenate([T.gelu(Tensor(x[i:i + 3])).data for i in range(0, n, 3)])
+    np.testing.assert_array_equal(whole, pieces)
+    np.testing.assert_allclose(whole, _gelu_reference(x), rtol=0, atol=5e-7)
+
+
+def test_float32_gelu_grad_across_blocks():
+    from scipy.special import ndtr
+
+    n = 2 * T.GELU_BLOCK + 7
+    x = Tensor((np.random.default_rng(1).standard_normal(n) * 3).astype(np.float32),
+               requires_grad=True)
+    w = np.random.default_rng(2).standard_normal(n).astype(np.float32)
+    with Tape() as tape:
+        loss = (T.gelu(x) * Tensor(w)).sum()
+        tape.backward(loss)
+    x64 = x.data.astype(np.float64)
+    want = w * (ndtr(x64) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi))
+    np.testing.assert_allclose(x.grad, want, rtol=0, atol=2e-6)

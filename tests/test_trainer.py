@@ -127,6 +127,27 @@ def test_missing_gradient_rejected():
         opt.step(params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_names_parameter_and_step(bad):
+    params = {
+        "a": Tensor(np.ones(2), requires_grad=True),
+        "b": Tensor(np.ones(2), requires_grad=True),
+    }
+    opt = TR.AdamW(["a", "b"])
+    params["a"].grad = np.ones(2, dtype=np.float32)
+    params["b"].grad = np.ones(2, dtype=np.float32)
+    opt.step(params)
+    before = {n: p.data.copy() for n, p in params.items()}
+    params["a"].grad = np.ones(2, dtype=np.float32)
+    params["b"].grad = np.array([0.0, bad], dtype=np.float32)
+    with pytest.raises(NumericError, match=r"'b' at step 1"):
+        opt.step(params)
+    # nothing moved: the check runs before any update
+    assert opt.t == 1
+    for n, p in params.items():
+        np.testing.assert_array_equal(p.data, before[n])
+
+
 def test_moments_accumulate_across_steps():
     with float64_mode():
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
