@@ -103,8 +103,8 @@ class RunConfig:
     train_frac: float = 0.8
 
     def validate(self) -> "RunConfig":
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**32:  # the bound SeededStreams enforces
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 1:

@@ -75,6 +75,15 @@ def test_validation_catches_bad_geometry():
         RunConfig(lr=0.0).validate()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_out_of_range_seed_rejected_when_parsed(seed):
+    with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
+        RunConfig(seed=seed).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_text(f"seed = {seed}\n")
+    assert RunConfig(seed=2**32 - 1).validate().seed == 2**32 - 1
+
+
 def test_presets_are_valid():
     tiny = tiny_config().validate()
     assert (tiny.depth, tiny.dim, tiny.prompt_len, tiny.prompt_inst, tiny.latent_dim) == (2, 16, 4, 2, 4)

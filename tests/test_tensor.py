@@ -412,7 +412,7 @@ def test_linear_matches_matmul_plus_bias():
     b = rng().standard_normal(5).astype(np.float32)
     got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
     np.testing.assert_allclose(got, x @ w + b, atol=1e-5)
-    assert T.linear(Tensor(x), Tensor(w)).shape == (2, 3, 5)
+    assert got.shape == (2, 3, 5)
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4)])
@@ -430,13 +430,13 @@ def test_linear_grads_all_trainable_and_frozen_weights(shape):
         _frozen_grads_stay_none((w, b))
         x.requires_grad, w.requires_grad = False, True
         x.grad = None
-        check(lambda: (T.linear(x, w) * probe).sum(), {"w": w})
-        _frozen_grads_stay_none((x,))
+        check(lambda: (T.linear(x, w, b) * probe).sum(), {"w": w})
+        _frozen_grads_stay_none((x, b))
 
 
 def test_linear_shape_errors():
     with pytest.raises(errors.ShapeError, match="weight"):
-        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
     with pytest.raises(errors.ShapeError, match="bias"):
         T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
