@@ -89,9 +89,18 @@ def patch_embed(images: np.ndarray, params: Mapping[str, Tensor], cfg: ModelConf
 
 
 def encoder_layer_forward(
-    layer_idx: int, tokens: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig
+    layer_idx: int,
+    tokens: Tensor,
+    params: Mapping[str, Tensor],
+    cfg: ModelConfig,
+    rows: int | None = None,
 ) -> Tensor:
-    """One pre-norm block: x + attn(LN(x)), then + MLP(LN(.)). Keeps S fixed."""
+    """One pre-norm block: x + attn(LN(x)), then + MLP(LN(.)).
+
+    Keeps S fixed, or with `rows` returns only the first `rows` tokens: keys
+    and values still cover every token, but queries, the residual and the MLP
+    run on those rows alone.
+    """
     if not 0 <= layer_idx < cfg.depth:
         raise ConfigError(f"layer index {layer_idx} out of range for depth {cfg.depth}")
     if tokens.shape[-1] != cfg.dim:
@@ -102,9 +111,12 @@ def encoder_layer_forward(
         return params[f"{base}.{name}"]
 
     h = T.layer_norm(tokens, w("ln1.g"), w("ln1.b"))
-    q = T.linear(h, w("attn.wq"), w("attn.bq"))
     k = T.linear(h, w("attn.wk"), w("attn.bk"))
     v = T.linear(h, w("attn.wv"), w("attn.bv"))
+    if rows is not None:
+        h = T.slice_axis(h, -2, 0, rows)
+        tokens = T.slice_axis(tokens, -2, 0, rows)
+    q = T.linear(h, w("attn.wq"), w("attn.bq"))
     x = tokens + T.linear(T.attention(q, k, v, cfg.heads), w("attn.wo"), w("attn.bo"))
 
     h2 = T.layer_norm(x, w("ln2.g"), w("ln2.b"))

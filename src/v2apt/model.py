@@ -180,6 +180,9 @@ class PromptedClassifier:
         cls = expand_leading(self.params["backbone.cls"], batch)
 
         captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the head reads only CLS: the last layer runs its queries and MLP on
+        # that row alone, unless its patch tokens are captured
+        cls_only = cfg.depth - 1 not in capture_layers
         x = None
         for i in range(cfg.depth):
             if i == 0:
@@ -191,13 +194,15 @@ class PromptedClassifier:
                 else:
                     block = stripped
             self._assert_parity(block, i, layout)
-            x = B.encoder_layer_forward(i, block, self.params, cfg)
+            rows = 1 if cls_only and i == cfg.depth - 1 else None
+            x = B.encoder_layer_forward(i, block, self.params, cfg, rows=rows)
             if i in capture_layers:
                 prompt_in = composed[i].data.copy() if composed else np.zeros((batch, 0, cfg.dim))
                 captures[i] = (prompt_in, P.patch_tokens(x, layout).data.copy())
 
-        x = B.final_norm(x, self.params)
-        cls_out = P.cls_token(x, layout).reshape(batch, cfg.dim)
+        if not cls_only:
+            x = P.cls_token(x, layout)
+        cls_out = B.final_norm(x, self.params).reshape(batch, cfg.dim)
         logits = B.classify(cls_out, self.params)
         return ForwardResult(logits=logits, kl=kl, latent=dist, captures=captures)
 

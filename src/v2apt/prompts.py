@@ -9,12 +9,11 @@ constant across depth and the CLS/patch lanes carry all cross-layer state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import Params, encoder_layer_forward
+from .backbone import Params
 from .config import ModelConfig
 from .errors import ShapeError
 from .rng import SeededStreams
@@ -27,14 +26,6 @@ class SequenceLayout:
 
     prompt_len: int
     num_patches: int
-
-    @property
-    def cls_at(self) -> int:
-        return 0
-
-    @property
-    def prompts_at(self) -> int:
-        return 1
 
     @property
     def patches_at(self) -> int:
@@ -104,16 +95,3 @@ def merge_sequence(cls: Tensor, prompts: Tensor | None, embeddings: Tensor) -> T
         return T.concat([cls, embeddings], axis=-2)
     return T.concat([cls, prompts, embeddings], axis=-2)
 
-
-def inject_deep(
-    prompts: Tensor,
-    prev_stripped: Tensor,
-    layer_idx: int,
-    layout: SequenceLayout,
-    params: Mapping[str, Tensor],
-    cfg: ModelConfig,
-) -> Tensor:
-    """Splice layer's fresh prompts into the stripped sequence, run the layer."""
-    seq = splice_prompts(prompts, prev_stripped, layout)
-    layout.check(seq)
-    return encoder_layer_forward(layer_idx, seq, params, cfg)

@@ -465,9 +465,10 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     out = _out(a.data[index], a.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        buf = np.zeros_like(a.data)
-        buf[index] = g
-        accumulate_grad(a, buf)
+        # write the rows in place; a full-size buffer would be copied again
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[index] += g
 
     record_operation("slice", (a,), out, adjoint)
     return out
@@ -631,29 +632,32 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of (B, S, d) projections.
+    """Multi-head scaled dot-product attention of (B, Sq, d) queries over (B, S, d) keys.
 
     The width d splits into `heads` blocks of d / heads; each head attends
-    over the S positions, and the heads merge back into (B, S, d). One tape
-    record: the adjoint works from the saved softmax, and no scores or
-    per-head contexts are kept.
+    over the S key and value positions, and the heads merge back into
+    (B, Sq, d). There may be fewer queries than keys (Sq <= S), as when only
+    the first rows of a sequence are needed. One tape record: the adjoint
+    works from the saved softmax, and no scores or per-head contexts are kept.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[1] > k.shape[1]):
         raise ShapeError(
-            f"attention needs equal (B, S, d) operands, got {q.shape}, {k.shape}, {v.shape}"
+            f"attention needs (B, Sq, d) queries over (B, S, d) keys and values with Sq <= S, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
         )
-    b, s, d = q.shape
+    b, _, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)
 
     def split(t: np.ndarray) -> np.ndarray:  # (B, S, d) -> (B, heads, S, hd) view
-        return t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)
+        return t.reshape(b, t.shape[1], heads, hd).transpose(0, 2, 1, 3)
 
     def merge(t: np.ndarray) -> np.ndarray:  # (B, heads, S, hd) -> (B, S, d)
-        return t.transpose(0, 2, 1, 3).reshape(b, s, d)
+        return t.transpose(0, 2, 1, 3).reshape(b, t.shape[2], d)
 
     q4, k4, v4 = split(q.data), split(k.data), split(v.data)
     p = q4 @ np.swapaxes(k4, -1, -2)

@@ -1,5 +1,7 @@
 """Backbone unit tests: patching, encoder block closed forms, freeze contract."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,38 @@ def test_fused_layer_records_twelve_primitives():
         "layer_norm", "linear", "linear", "linear", "attention", "linear", "add",
         "layer_norm", "linear", "gelu", "linear", "add",
     ]
+
+
+def test_pruned_layer_records_slices_before_the_query_projection():
+    cfg, params = make()
+    B.freeze_backbone(params)
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.dim)), requires_grad=True)
+    with Tape() as tape:
+        y = B.encoder_layer_forward(0, x, params, cfg, rows=1)
+    assert y.shape == (2, 1, cfg.dim)
+    assert [r.op for r in tape.records] == [
+        "layer_norm", "linear", "linear", "slice", "slice", "linear", "attention", "linear",
+        "add", "layer_norm", "linear", "gelu", "linear", "add",
+    ]
+
+
+def _row0_output_and_input_grad(rows, batch=8):
+    cfg, params = make(default_config(), seed=5)
+    B.freeze_backbone(params)
+    g = np.random.default_rng(6)
+    x = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)), requires_grad=True)
+    probe = Tensor(g.standard_normal((batch, 1, cfg.dim)))
+    with Tape() as tape:
+        y = T.slice_axis(B.encoder_layer_forward(1, x, params, cfg, rows=rows), -2, 0, 1)
+        tape.backward((y * probe).sum())
+    return y.data, x.grad
+
+
+@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
+def test_pruned_layer_equals_row_zero_of_full_layer(float64, tol):
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        y1, g1 = _row0_output_and_input_grad(rows=1)
+        y0, g0 = _row0_output_and_input_grad(rows=None)
+    assert y1.dtype == (np.float64 if float64 else np.float32)
+    np.testing.assert_allclose(y1, y0, rtol=0, atol=tol)
+    np.testing.assert_allclose(g1, g0, rtol=0, atol=tol)

@@ -1,5 +1,7 @@
 """End-to-end model assembly tests: parity, determinism, gradient reach."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,39 @@ def test_captures_have_expected_shapes():
     for prompts_in, patches_out in out.captures.values():
         assert prompts_in.shape == (2, 4, 16)
         assert patches_out.shape == (2, 16, 16)
+
+
+def _logits_and_grads(capture_last):
+    m = build()
+    x = images(4, seed=3)
+    capture = (m.cfg.depth - 1,) if capture_last else ()
+    with Tape() as tape:
+        out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"), capture_layers=capture)
+        loss = T.cross_entropy_with_logits(out.logits, np.array([0, 1, 2, 0])) + out.kl * 1e-3
+        tape.backward(loss)
+    return out.logits.data, {n: p.grad for n, p in m.trainables().items()}
+
+
+@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
+def test_cls_only_last_layer_matches_the_full_last_layer(float64, tol):
+    # capturing the last layer makes it run on every token: the reference
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        logits1, grads1 = _logits_and_grads(capture_last=False)
+        logits0, grads0 = _logits_and_grads(capture_last=True)
+    assert logits1.dtype == (np.float64 if float64 else np.float32)
+    np.testing.assert_allclose(logits1, logits0, rtol=0, atol=tol)
+    assert grads1.keys() == grads0.keys()
+    assert "backbone.layers.1.mlp.w1" in grads1
+    for name in grads1:
+        np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
+
+
+def test_capturing_the_last_layer_returns_every_patch_token():
+    m = build()
+    last = m.cfg.depth - 1
+    out = m.forward(images(2), capture_layers=(last,))
+    assert set(out.captures) == {last}
+    assert out.captures[last][1].shape == (2, m.cfg.num_patches, m.cfg.dim)
 
 
 def test_every_adapter_gradient_is_nonzero_after_one_backward():

@@ -178,6 +178,32 @@ def test_slice_grad_zero_fills_complement():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+def test_slice_adjoints_accumulate_rows_into_one_grad():
+    g = rng()
+    x = Tensor(g.standard_normal((2, 5, 3)).astype(np.float32), requires_grad=True)
+    p1 = g.standard_normal((2, 2, 3)).astype(np.float32)
+    p2 = g.standard_normal((2, 3, 3)).astype(np.float32)
+    with Tape() as tape:
+        y1 = T.slice_axis(x, 1, 0, 2)
+        y2 = T.slice_axis(x, 1, 1, 4)
+        tape.backward((y1 * Tensor(p1)).sum() + (y2 * Tensor(p2)).sum())
+    # the adjoints run in reverse: y2's rows are written first, then y1's added
+    want = np.zeros((2, 5, 3), dtype=np.float32)
+    want[:, 1:4] += p2
+    want[:, 0:2] += p1
+    np.testing.assert_array_equal(x.grad, want)
+    assert x.grad.dtype == np.float32
+
+
+def test_slice_first_write_does_not_alias_the_upstream_grad():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = T.slice_axis(x, 0, 0, 2)  # covers the whole input
+        tape.backward((y * 3.0).sum())
+    assert not np.shares_memory(x.grad, y.grad)
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0, dtype=np.float32))
+
+
 def test_slice_bounds_checked():
     x = Tensor(np.zeros((2, 3)))
     with pytest.raises(errors.ShapeError):
@@ -478,13 +504,13 @@ def test_affine_layer_norm_equals_norm_times_gamma_plus_beta():
 
 
 def _attention_reference(q, k, v, heads):
-    b, s, d = q.shape
+    b, sq, d = q.shape
     hd = d // heads
-    split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3)  # noqa: E731
+    split = lambda t: t.reshape(b, t.shape[1], heads, hd).transpose(0, 2, 1, 3)  # noqa: E731
     scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(hd)
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
-    return (p @ split(v)).transpose(0, 2, 1, 3).reshape(b, s, d)
+    return (p @ split(v)).transpose(0, 2, 1, 3).reshape(b, sq, d)
 
 
 def test_attention_matches_reference():
@@ -495,11 +521,12 @@ def test_attention_matches_reference():
     np.testing.assert_allclose(got, _attention_reference(q, k, v, 3), atol=1e-12)
 
 
-def test_attention_grads_all_trainable_and_frozen_inputs():
+def _check_attention_grads(queries):
     with float64_mode():
         g = rng()
-        q, k, v = (Tensor(g.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(3))
-        probe = Tensor(g.standard_normal((2, 4, 6)))
+        q = Tensor(g.standard_normal((2, queries, 6)), requires_grad=True)
+        k, v = (Tensor(g.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(2))
+        probe = Tensor(g.standard_normal((2, queries, 6)))
         loss = lambda: (T.attention(q, k, v, heads=2) * probe).sum()  # noqa: E731
         check(loss, {"q": q, "k": k, "v": v})
         for trainable in (q, k, v):
@@ -510,12 +537,38 @@ def test_attention_grads_all_trainable_and_frozen_inputs():
             _frozen_grads_stay_none([t for t in (q, k, v) if t is not trainable])
 
 
+def test_attention_grads_all_trainable_and_frozen_inputs():
+    _check_attention_grads(queries=4)
+
+
+def test_attention_fewer_queries_grads_all_trainable_and_frozen_inputs():
+    _check_attention_grads(queries=1)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_attention_fewer_queries_equals_rows_of_full_attention(rows):
+    g = rng()
+    q, k, v = (g.standard_normal((2, 5, 6)) for _ in range(3))
+    with float64_mode():
+        full = T.attention(Tensor(q), Tensor(k), Tensor(v), heads=3).data
+        part = T.attention(Tensor(q[:, :rows]), Tensor(k), Tensor(v), heads=3).data
+    assert part.shape == (2, rows, 6)
+    np.testing.assert_allclose(part, full[:, :rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(part, _attention_reference(q[:, :rows], k, v, 3), atol=1e-12)
+
+
 def test_attention_shape_errors():
     x = Tensor(np.zeros((2, 4, 6)))
     with pytest.raises(errors.ShapeError, match="heads"):
         T.attention(x, x, x, heads=4)
     with pytest.raises(errors.ShapeError):
         T.attention(x, Tensor(np.zeros((2, 3, 6))), x, heads=2)
+    with pytest.raises(errors.ShapeError, match="Sq <= S"):
+        T.attention(Tensor(np.zeros((2, 5, 6))), x, x, heads=2)  # more queries than keys
+    with pytest.raises(errors.ShapeError):
+        T.attention(Tensor(np.zeros((3, 1, 6))), x, x, heads=2)  # batch mismatch
+    with pytest.raises(errors.ShapeError):
+        T.attention(Tensor(np.zeros((2, 1, 4))), x, x, heads=2)  # width mismatch
 
 
 def test_adjoints_never_hand_a_frozen_input_a_gradient(monkeypatch):
