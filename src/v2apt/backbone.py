@@ -94,12 +94,14 @@ def encoder_layer_forward(
     params: Mapping[str, Tensor],
     cfg: ModelConfig,
     rows: int | None = None,
+    prompts: Tensor | None = None,
 ) -> Tensor:
     """One pre-norm block: x + attn(LN(x)), then + MLP(LN(.)).
 
-    Keeps S fixed, or with `rows` returns only the first `rows` tokens: keys
-    and values still cover every token, but queries, the residual and the MLP
-    run on those rows alone.
+    `prompts` (B, k, d) join the keys and values only: the block attends over
+    the context [tokens | prompts] and returns the rows of `tokens`. With
+    `rows` it returns only the first `rows` of them; queries, the residual and
+    the MLP run on the returned rows alone.
     """
     if not 0 <= layer_idx < cfg.depth:
         raise ConfigError(f"layer index {layer_idx} out of range for depth {cfg.depth}")
@@ -110,11 +112,16 @@ def encoder_layer_forward(
     def w(name: str) -> Tensor:
         return params[f"{base}.{name}"]
 
-    h = T.layer_norm(tokens, w("ln1.g"), w("ln1.b"))
+    context = tokens if prompts is None else T.concat([tokens, prompts], axis=-2)
+    h = T.layer_norm(context, w("ln1.g"), w("ln1.b"))
     k = T.linear(h, w("attn.wk"), w("attn.bk"))
     v = T.linear(h, w("attn.wv"), w("attn.bv"))
-    if rows is not None:
+    rows = tokens.shape[-2] if rows is None else rows
+    if not 0 < rows <= tokens.shape[-2]:
+        raise ShapeError(f"rows {rows} out of range for {tokens.shape[-2]} tokens")
+    if rows < context.shape[-2]:
         h = T.slice_axis(h, -2, 0, rows)
+    if rows < tokens.shape[-2]:
         tokens = T.slice_axis(tokens, -2, 0, rows)
     q = T.linear(h, w("attn.wq"), w("attn.bq"))
     x = tokens + T.linear(T.attention(q, k, v, cfg.heads), w("attn.wo"), w("attn.bo"))

@@ -10,6 +10,7 @@ reproduce the file byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -141,9 +142,10 @@ class _Reader:
             raise FormatError(f"unknown dtype tag {tag} in {what}")
         shape = struct.unpack(f"<{rank}I", self.take(4 * rank, f"{what} extents"))
         dt = _TAG_DTYPES[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = self.take(count * dt.itemsize, f"{what} data")
-        return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        arr = np.frombuffer(self.take(math.prod(shape) * dt.itemsize, f"{what} data"), dtype=dt)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"non-finite value in {what}")
+        return arr.reshape(shape).copy()
 
 
 def load_checkpoint(path) -> Checkpoint:

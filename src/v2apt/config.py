@@ -58,8 +58,8 @@ class ModelConfig:
 
     @property
     def seq_len(self) -> int:
-        """Encoder input length: CLS + prompts + patches."""
-        return 1 + self.prompt_len + self.num_patches
+        """Encoder context length: CLS + patches + prompts."""
+        return 1 + self.num_patches + self.prompt_len
 
     def validate(self) -> "ModelConfig":
         if self.image_size <= 0 or self.image_size % self.patch_size != 0:

@@ -25,7 +25,7 @@ from . import vae as V
 from .config import ModelConfig
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import SeededStreams
-from .tensor import Tensor, expand_leading
+from .tensor import Tensor, expand_leading, slice_axis
 
 Params = dict[str, Tensor]
 
@@ -146,13 +146,16 @@ class PromptedClassifier:
             return dom, kl, dist
         return None, kl, dist
 
-    def _assert_parity(self, seq: Tensor, layer_idx: int, layout: P.SequenceLayout) -> None:
-        # the token-budget contract: every layer sees 1 + k + num_patches tokens
-        expected = 1 + self.active_budget + self.cfg.num_patches
-        if seq.shape[-2] != expected or seq.shape[-2] != layout.total:
+    def _assert_parity(
+        self, tokens: Tensor, prompts: Tensor | None, layer_idx: int, layout: P.SequenceLayout
+    ) -> None:
+        # the token-budget contract: every layer attends over 1 + num_patches + k tokens
+        expected = 1 + self.cfg.num_patches + self.active_budget
+        context = tokens.shape[-2] + (0 if prompts is None else prompts.shape[-2])
+        if context != expected or context != layout.total:
             raise ContractError(
-                f"layer {layer_idx}: sequence length {seq.shape[-2]} != 1 + {self.active_budget} "
-                f"+ {self.cfg.num_patches}"
+                f"layer {layer_idx}: sequence length {context} != 1 + {self.cfg.num_patches} "
+                f"+ {self.active_budget}"
             )
 
     def forward(
@@ -177,31 +180,25 @@ class PromptedClassifier:
         embeddings = B.patch_embed(images, self.params, cfg)
         composed, kl, dist = self._composed_prompts(embeddings, batch, train, eps, rng)
         layout = P.SequenceLayout(prompt_len=self.active_budget, num_patches=cfg.num_patches)
-        cls = expand_leading(self.params["backbone.cls"], batch)
+        x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
 
         captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the head reads only CLS: the last layer runs its queries and MLP on
         # that row alone, unless its patch tokens are captured
         cls_only = cfg.depth - 1 not in capture_layers
-        x = None
         for i in range(cfg.depth):
-            if i == 0:
-                block = P.merge_sequence(cls, composed[0] if composed else None, embeddings)
-            else:
-                stripped = P.strip_prompt_tokens(x, layout)
-                if composed:
-                    block = P.splice_prompts(composed[i], stripped, layout)
-                else:
-                    block = stripped
-            self._assert_parity(block, i, layout)
+            # CLS and patches carry all cross-layer state; each layer's fresh
+            # prompts join its keys and values only
+            prompts = composed[i] if composed else None
+            self._assert_parity(x, prompts, i, layout)
             rows = 1 if cls_only and i == cfg.depth - 1 else None
-            x = B.encoder_layer_forward(i, block, self.params, cfg, rows=rows)
+            x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=prompts)
             if i in capture_layers:
-                prompt_in = composed[i].data.copy() if composed else np.zeros((batch, 0, cfg.dim))
-                captures[i] = (prompt_in, P.patch_tokens(x, layout).data.copy())
+                prompt_in = prompts.data.copy() if composed else np.zeros((batch, 0, cfg.dim))
+                captures[i] = (prompt_in, x.data[:, 1:].copy())
 
         if not cls_only:
-            x = P.cls_token(x, layout)
+            x = slice_axis(x, -2, 0, 1)
         cls_out = B.final_norm(x, self.params).reshape(batch, cfg.dim)
         logits = B.classify(cls_out, self.params)
         return ForwardResult(logits=logits, kl=kl, latent=dist, captures=captures)

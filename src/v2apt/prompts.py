@@ -1,9 +1,9 @@
-"""Static domain prompts and deep prompt injection.
+"""Static domain prompts and the token layout of the deep prompted encoder.
 
-Every encoder layer sees the same token layout: [CLS | prompts | patches].
-Prompt outputs of a layer are discarded; the next layer gets that layer's
-fresh prompt rows spliced into the same segment, so the token budget k is
-constant across depth and the CLS/patch lanes carry all cross-layer state.
+Every encoder layer attends over the same layout: [CLS | patches | prompts].
+Only the CLS and patch rows are carried from layer to layer; each layer's
+fresh prompt rows join its keys and values alone, so the token budget k is
+constant across depth and no prompt output is ever computed.
 """
 
 from __future__ import annotations
@@ -22,18 +22,19 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class SequenceLayout:
-    """Offsets of the [CLS | prompts | patches] segments in a token sequence."""
+    """Segment sizes of the [CLS | patches | prompts] context of a layer."""
 
     prompt_len: int
     num_patches: int
 
     @property
-    def patches_at(self) -> int:
-        return 1 + self.prompt_len
+    def prompts_at(self) -> int:
+        """Rows before the prompt segment: CLS and the patches."""
+        return 1 + self.num_patches
 
     @property
     def total(self) -> int:
-        return 1 + self.prompt_len + self.num_patches
+        return self.prompts_at + self.prompt_len
 
     def check(self, tokens: Tensor) -> None:
         if tokens.shape[-2] != self.total:
@@ -54,9 +55,10 @@ def init_domain_prompts(cfg: ModelConfig, streams: SeededStreams) -> Params:
     }
 
 
+# kept without a caller: perfbench's DETAIL_SPANS wraps it by name
 def splice_prompts(prompts: Tensor, stripped: Tensor, layout: SequenceLayout) -> Tensor:
-    """Insert prompt rows between the CLS and patch segments of a batch."""
-    if stripped.shape[-2] != 1 + layout.num_patches:
+    """Append prompt rows after the CLS and patch segments of a batch."""
+    if stripped.shape[-2] != layout.prompts_at:
         raise ShapeError(
             f"expected CLS + {layout.num_patches} patch tokens, got {stripped.shape[-2]}"
         )
@@ -64,34 +66,18 @@ def splice_prompts(prompts: Tensor, stripped: Tensor, layout: SequenceLayout) ->
         return stripped
     if prompts.shape[-2] != layout.prompt_len or prompts.shape[-1] != stripped.shape[-1]:
         raise ShapeError(f"prompt block {prompts.shape} does not fit layout k={layout.prompt_len}")
-    cls = T.slice_axis(stripped, -2, 0, 1)
-    patches = T.slice_axis(stripped, -2, 1, 1 + layout.num_patches)
-    return T.concat([cls, prompts, patches], axis=-2)
+    return T.concat([stripped, prompts], axis=-2)
 
 
+# kept without a caller: perfbench's DETAIL_SPANS wraps it by name
 def strip_prompt_tokens(tokens: Tensor, layout: SequenceLayout) -> Tensor:
     """Drop the prompt segment, keeping CLS and patch tokens in order."""
     layout.check(tokens)
     if layout.prompt_len == 0:
         return tokens
-    cls = T.slice_axis(tokens, -2, 0, 1)
-    patches = T.slice_axis(tokens, -2, layout.patches_at, layout.total)
-    return T.concat([cls, patches], axis=-2)
+    return T.slice_axis(tokens, -2, 0, layout.prompts_at)
 
 
-def patch_tokens(tokens: Tensor, layout: SequenceLayout) -> Tensor:
-    layout.check(tokens)
-    return T.slice_axis(tokens, -2, layout.patches_at, layout.total)
-
-
-def cls_token(tokens: Tensor, layout: SequenceLayout) -> Tensor:
-    layout.check(tokens)
-    return T.slice_axis(tokens, -2, 0, 1)
-
-
-def merge_sequence(cls: Tensor, prompts: Tensor | None, embeddings: Tensor) -> Tensor:
-    """Assemble [CLS; prompts; patches]; prompts may be absent or empty."""
-    if prompts is None or prompts.shape[-2] == 0:
-        return T.concat([cls, embeddings], axis=-2)
-    return T.concat([cls, prompts, embeddings], axis=-2)
-
+def merge_sequence(cls: Tensor, embeddings: Tensor) -> Tensor:
+    """Assemble [CLS | patches], the rows every layer carries."""
+    return T.concat([cls, embeddings], axis=-2)

@@ -9,6 +9,7 @@ from v2apt import backbone as B
 from v2apt import tensor as T
 from v2apt.config import ModelConfig, default_config, tiny_config
 from v2apt.errors import ConfigError, ShapeError
+from v2apt.gradcheck import finite_diff_check
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tape, Tensor
 
@@ -273,3 +274,63 @@ def test_pruned_layer_equals_row_zero_of_full_layer(float64, tol):
     assert y1.dtype == (np.float64 if float64 else np.float32)
     np.testing.assert_allclose(y1, y0, rtol=0, atol=tol)
     np.testing.assert_allclose(g1, g0, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("tokens_trainable, rows", [(False, None), (True, None), (True, 1)])
+def test_key_value_prompt_rows_gradcheck_float64(tokens_trainable, rows):
+    # prompts enter only as keys and values; the backbone stays frozen
+    with T.float64_mode():
+        cfg, params = make()
+        B.freeze_backbone(params)
+        g = np.random.default_rng(8)
+        tokens = Tensor(g.standard_normal((2, 3, cfg.dim)), requires_grad=tokens_trainable)
+        prompts = Tensor(g.standard_normal((2, 2, cfg.dim)), requires_grad=True)
+        probe = Tensor(g.standard_normal((2, rows or 3, cfg.dim)))
+        trainable = {"prompts": prompts, **({"tokens": tokens} if tokens_trainable else {})}
+
+        def loss():
+            y = B.encoder_layer_forward(0, tokens, params, cfg, rows=rows, prompts=prompts)
+            return (y * probe).sum()
+
+        report = finite_diff_check(loss, trainable, eps=1e-6, tol=1e-7)
+    assert report.passed, report.summary()
+    assert all(p.grad is None for p in params.values())
+    if not tokens_trainable:
+        assert tokens.grad is None
+
+
+def _record_ops(rows):
+    cfg, params = make()
+    B.freeze_backbone(params)
+    g = np.random.default_rng(0)
+    x = Tensor(g.standard_normal((2, 5, cfg.dim)), requires_grad=True)
+    prompts = Tensor(g.standard_normal((2, 3, cfg.dim)), requires_grad=True)
+    with Tape() as tape:
+        y = B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=prompts)
+    assert y.shape == (2, rows or 5, cfg.dim)
+    return [r.op for r in tape.records]
+
+
+def test_prompted_layer_records_one_concat_and_one_slice():
+    # the context concat, the 12 block records, and one slice of the normed
+    # context to the carried rows before the query projection
+    assert _record_ops(rows=None) == [
+        "concat", "layer_norm", "linear", "linear", "slice", "linear", "attention", "linear",
+        "add", "layer_norm", "linear", "gelu", "linear", "add",
+    ]
+
+
+def test_prompted_last_layer_records_two_slices():
+    assert _record_ops(rows=1) == [
+        "concat", "layer_norm", "linear", "linear", "slice", "slice", "linear", "attention",
+        "linear", "add", "layer_norm", "linear", "gelu", "linear", "add",
+    ]
+
+
+def test_rows_out_of_range_rejected():
+    cfg, params = make()
+    x = Tensor(np.zeros((2, 5, cfg.dim)))
+    prompts = Tensor(np.zeros((2, 3, cfg.dim)))
+    for rows in (0, 6):
+        with pytest.raises(ShapeError, match="rows"):
+            B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=prompts)

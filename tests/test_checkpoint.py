@@ -79,6 +79,22 @@ def test_float64_tensors_round_trip(tmp_path):
     np.testing.assert_array_equal(back.tensors["wide"], ck.tensors["wide"])
 
 
+@pytest.mark.parametrize("section, what", [
+    ("tensors", "tensor 'head.w'"),
+    ("m", "first moment 'head.w'"),
+    ("v", "second moment 'head.w'"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_named(tmp_path, section, what, bad):
+    ck = small_checkpoint()
+    arrays = ck.tensors if section == "tensors" else getattr(ck.optimizer, section)
+    arrays["head.w"][1, 0] = bad
+    p = tmp_path / "ck.v2ap"
+    C.save_checkpoint(ck, p)
+    with pytest.raises(FormatError, match=f"non-finite value in {what}"):
+        C.load_checkpoint(p)
+
+
 def test_bad_magic_named(tmp_path):
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(small_checkpoint(), p)

@@ -10,8 +10,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_to_text, tiny_config
 
@@ -112,6 +114,18 @@ def test_out_of_range_seed_exits_2(capsys, tmp_path, seed):
 def test_missing_data_file_exits_3(workdir, tmp_path):
     rc = main(["eval", "--ckpt", str(workdir / "tuned.v2ap"), "--data", str(tmp_path / "no.v2ds")])
     assert rc == 3
+
+
+def test_checkpoint_with_nan_parameter_exits_3(workdir, tmp_path, capsys):
+    ck = load_checkpoint(workdir / "tuned.v2ap")
+    ck.tensors["prompts.1"][0, 0] = np.nan
+    save_checkpoint(ck, tmp_path / "nan.v2ap")
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(tmp_path / "nan.v2ap"), "--data", str(workdir / "easy.v2ds")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "non-finite value in tensor 'prompts.1'" in err
+    assert "Traceback" not in err
 
 
 def test_dataset_passed_as_checkpoint_exits_3(workdir, tmp_path):

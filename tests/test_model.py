@@ -5,11 +5,13 @@ import contextlib
 import numpy as np
 import pytest
 
+from v2apt import backbone as B
 from v2apt import tensor as T
-from v2apt.config import ModelConfig, tiny_config
+from v2apt.config import ModelConfig, default_config, tiny_config
 from v2apt.errors import ConfigError
 from v2apt.model import PromptedClassifier
 from v2apt.rng import SeededStreams
+from v2apt.trainer import total_loss
 from v2apt.tensor import Tape, Tensor
 
 
@@ -104,6 +106,88 @@ def test_cls_only_last_layer_matches_the_full_last_layer(float64, tol):
     assert "backbone.layers.1.mlp.w1" in grads1
     for name in grads1:
         np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
+
+
+def _old_path_forward(m, x, rng):
+    """The forward before prompt rows became key/value-only: [CLS | prompts |
+    patches] through full-row layers, the prompt outputs stripped and fresh
+    prompts spliced in at every layer boundary."""
+    cfg, batch, k = m.cfg, x.shape[0], m.active_budget
+    embeddings = B.patch_embed(x, m.params, cfg)
+    composed, kl, _ = m._composed_prompts(embeddings, batch, True, None, rng)
+    cls = T.expand_leading(m.params["backbone.cls"], batch)
+    seq = T.concat([cls, composed[0], embeddings] if k else [cls, embeddings], axis=-2)
+    for i in range(cfg.depth):
+        if i > 0 and k:
+            stripped = T.concat(
+                [T.slice_axis(seq, -2, 0, 1), T.slice_axis(seq, -2, 1 + k, seq.shape[-2])], axis=-2
+            )
+            seq = T.concat(
+                [T.slice_axis(stripped, -2, 0, 1), composed[i],
+                 T.slice_axis(stripped, -2, 1, stripped.shape[-2])], axis=-2
+            )
+        seq = B.encoder_layer_forward(i, seq, m.params, cfg)
+    cls_out = B.final_norm(T.slice_axis(seq, -2, 0, 1), m.params).reshape(batch, cfg.dim)
+    return B.classify(cls_out, m.params), kl
+
+
+def _old_and_new_logits_and_grads(cfg, capture_last):
+    labels = np.array([0, 1, 2, 3])
+    x = images(4, seed=3)
+    results = []
+    for old in (True, False):
+        m = build(cfg)
+        rng = SeededStreams(0).generator("eps")
+        with Tape() as tape:
+            if old:
+                logits, kl = _old_path_forward(m, x, rng)
+            else:
+                capture = (cfg.depth - 1,) if capture_last else ()
+                out = m.forward(x, train=True, rng=rng, capture_layers=capture)
+                logits, kl = out.logits, out.kl
+            loss = T.cross_entropy_with_logits(logits, labels)
+            tape.backward(loss if kl is None else loss + kl * 1e-3)
+        results.append((logits.data, {n: p.grad for n, p in m.trainables().items()}))
+    return results
+
+
+@pytest.mark.parametrize("capture_last", [False, True])
+@pytest.mark.parametrize("prompt_len, prompt_inst", [(8, 0), (8, 4), (8, 8), (0, 0)])
+@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
+def test_key_value_prompts_match_the_strip_and_splice_path(
+    float64, tol, prompt_len, prompt_inst, capture_last
+):
+    cfg = ModelConfig(**{**default_config().__dict__,
+                         "prompt_len": prompt_len, "prompt_inst": prompt_inst})
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        (logits0, grads0), (logits1, grads1) = _old_and_new_logits_and_grads(cfg, capture_last)
+    assert logits1.dtype == (np.float64 if float64 else np.float32)
+    np.testing.assert_allclose(logits1, logits0, rtol=0, atol=tol)
+    assert grads1.keys() == grads0.keys()
+    assert "backbone.layers.0.attn.wq" in grads1
+    if prompt_len > prompt_inst:
+        assert "prompts.0" in grads1
+    for name in grads1:
+        np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
+
+
+def test_default_tune_step_records():
+    # per layer: one context concat and the 12 block records, one slice of the
+    # normed context to the carried rows, and a second slice in the CLS-only
+    # last layer; no strip or splice records between layers
+    cfg = default_config()
+    m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, SeededStreams(0)),
+                                           cfg, SeededStreams(1))
+    x = np.random.default_rng(0).random((8, 16, 16, 1)).astype(np.float32)
+    with Tape() as tape:
+        out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"))
+        total_loss(out.logits, np.zeros(8, dtype=np.int64), out.kl, 1e-3)
+    ops = [r.op for r in tape.records]
+    layers = ops[ops.index("layer_norm") - 1:ops.index("reshape", ops.index("layer_norm"))]
+    assert layers.count("concat") == cfg.depth
+    assert layers.count("slice") == cfg.depth + 1
+    assert len(layers) == 14 * cfg.depth + 1 + 1  # + the second last-layer slice, final_norm
+    assert len(ops) == 102
 
 
 def test_capturing_the_last_layer_returns_every_patch_token():

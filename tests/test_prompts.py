@@ -1,4 +1,4 @@
-"""Prompt initialization, layout bookkeeping, and splice/strip mechanics."""
+"""Prompt initialization, layout bookkeeping, and the [CLS | patches | prompts] context."""
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ def test_init_empty_when_budget_zero():
 
 def test_layout_arithmetic():
     lay = P.SequenceLayout(prompt_len=8, num_patches=16)
-    assert (lay.patches_at, lay.total) == (9, 25)
+    assert (lay.prompts_at, lay.total) == (17, 25)
     assert P.SequenceLayout(prompt_len=0, num_patches=16).total == 17
 
 
@@ -40,8 +40,7 @@ def test_strip_drops_exactly_the_prompt_segment():
     x = Tensor(np.random.default_rng(0).standard_normal((2, 25, 4)))
     out = P.strip_prompt_tokens(x, lay)
     assert out.shape == (2, 17, 4)
-    np.testing.assert_array_equal(out.data[:, 0], x.data[:, 0])
-    np.testing.assert_array_equal(out.data[:, 1:], x.data[:, 9:])
+    np.testing.assert_array_equal(out.data, x.data[:, :17])
 
 
 def test_strip_is_identity_for_zero_budget():
@@ -57,9 +56,8 @@ def test_splice_then_strip_roundtrip():
     fresh = Tensor(np.random.default_rng(2).standard_normal((2, 3, 4)))
     seq = P.splice_prompts(fresh, stripped, lay)
     assert seq.shape == (2, 9, 4)
-    np.testing.assert_array_equal(seq.data[:, 1:4], fresh.data)
-    np.testing.assert_array_equal(seq.data[:, 0], stripped.data[:, 0])
-    np.testing.assert_array_equal(seq.data[:, 4:], stripped.data[:, 1:])
+    np.testing.assert_array_equal(seq.data[:, :6], stripped.data)
+    np.testing.assert_array_equal(seq.data[:, 6:], fresh.data)
     back = P.strip_prompt_tokens(seq, lay)
     np.testing.assert_array_equal(back.data, stripped.data)
 
@@ -75,33 +73,33 @@ def test_layout_mismatch_rejected():
 
 
 def test_deep_injection_uses_fresh_prompts():
-    # layer i+1 must see P_{i+1} rows, not layer i's transformed prompt outputs
+    # layer i+1 attends over P_{i+1} rows, not over layer i's prompt outputs,
+    # which are never computed: a layer returns only its CLS and patch rows
     cfg = tiny_config()
     params = B.init_backbone(cfg, SeededStreams(0))
     rng = np.random.default_rng(3)
     k, patches = 4, cfg.num_patches
-    lay = P.SequenceLayout(prompt_len=k, num_patches=patches)
     p1 = Tensor(rng.standard_normal((1, k, cfg.dim)).astype(np.float32))
     p2 = Tensor(rng.standard_normal((1, k, cfg.dim)).astype(np.float32))
     e = Tensor(rng.standard_normal((1, patches, cfg.dim)).astype(np.float32))
     cls = Tensor(rng.standard_normal((1, 1, cfg.dim)).astype(np.float32))
 
-    z1 = B.encoder_layer_forward(0, P.merge_sequence(cls, p1, e), params, cfg)
-    stripped = P.strip_prompt_tokens(z1, lay)
-    seq2 = P.splice_prompts(p2, stripped, lay)
-    np.testing.assert_array_equal(seq2.data[:, 1:1 + k], p2.data)
-    # prompt rows differ from the layer-1 outputs they replace
-    assert not np.allclose(seq2.data[:, 1:1 + k], z1.data[:, 1:1 + k])
-    # CLS and patch lanes flow through unchanged
-    np.testing.assert_array_equal(seq2.data[:, 0], z1.data[:, 0])
-    np.testing.assert_array_equal(seq2.data[:, 1 + k:], z1.data[:, 1 + k:])
+    z1 = B.encoder_layer_forward(0, P.merge_sequence(cls, e), params, cfg, prompts=p1)
+    assert z1.shape == (1, 1 + patches, cfg.dim)
+    z2 = B.encoder_layer_forward(1, z1, params, cfg, prompts=p2)
+    # the same layer over the context [z1 | p2] built by hand, on every row
+    context = Tensor(np.concatenate([z1.data, p2.data], axis=1))
+    full = B.encoder_layer_forward(1, context, params, cfg)
+    np.testing.assert_allclose(z2.data, full.data[:, :1 + patches], rtol=0, atol=1e-5)
+    # a different prompt block changes what the carried rows attend to
+    z2_other = B.encoder_layer_forward(1, z1, params, cfg, prompts=p1)
+    assert not np.allclose(z2.data, z2_other.data)
 
 
 def test_merge_sequence_zero_budget_matches_plain_concat():
+    # the carried rows: prompts join the context inside each layer
     cls = Tensor(np.ones((2, 1, 4)))
     e = Tensor(np.zeros((2, 5, 4)))
-    merged = P.merge_sequence(cls, None, e)
+    merged = P.merge_sequence(cls, e)
     assert merged.shape == (2, 6, 4)
-    empty = Tensor(np.zeros((2, 0, 4)))
-    merged2 = P.merge_sequence(cls, empty, e)
-    np.testing.assert_array_equal(merged.data, merged2.data)
+    np.testing.assert_array_equal(merged.data, np.concatenate([cls.data, e.data], axis=1))
