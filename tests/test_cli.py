@@ -195,3 +195,23 @@ def test_easy3_pretrain_hits_95_within_preset_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     acc = float(out.split("train accuracy")[1].split()[0])
     assert acc >= 0.95
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mallopt is glibc's")
+def test_main_pins_heap_so_chunk_sized_temporaries_are_reused(tmp_path):
+    # a fresh process, so no earlier large free has moved glibc's thresholds
+    code = f"""
+import resource, numpy as np
+from v2apt.cli import main
+assert main(["gen-data", "--preset", "easy-3", "--out", {str(tmp_path / "d.v2ds")!r}]) == 0
+n = 256 * 17 * 192  # one 256-image chunk's MLP activation, float32
+np.ones(n, dtype=np.float32)  # the first use may grow the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(n, dtype=np.float32)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # mapped afresh, each array would fault in its 816 pages again
+    assert int(proc.stdout.split()[-1]) < 100
