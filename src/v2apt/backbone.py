@@ -9,7 +9,7 @@ prompt generator, which other modules add to the same dict.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,39 +27,44 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_backbone(cfg: ModelConfig, streams: SeededStreams) -> Params:
-    """Fresh trainable backbone + head parameters, deterministic per seed."""
-    cfg.validate()
-    rng = streams.generator("init.backbone")
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every backbone and head parameter, in draw order."""
     d, mlp = cfg.dim, cfg.dim * cfg.mlp_ratio
-    p: Params = {}
-
-    def t(name: str, value: np.ndarray) -> None:
-        p[name] = Tensor(value, requires_grad=True)
-
-    t("backbone.patch.w", _xavier(rng, cfg.patch_dim, d))
-    t("backbone.patch.b", np.zeros(d))
-    t("backbone.pos", rng.normal(0.0, 0.02, size=(cfg.num_patches, d)))
-    t("backbone.cls", rng.normal(0.0, 0.02, size=(1, d)))
+    shapes = {"backbone.patch.w": (cfg.patch_dim, d), "backbone.patch.b": (d,),
+              "backbone.pos": (cfg.num_patches, d), "backbone.cls": (1, d)}
     for i in range(cfg.depth):
         base = f"backbone.layers.{i}"
-        t(f"{base}.ln1.g", np.ones(d))
-        t(f"{base}.ln1.b", np.zeros(d))
-        for proj in ("wq", "wk", "wv", "wo"):
-            t(f"{base}.attn.{proj}", _xavier(rng, d, d))
-        for bias in ("bq", "bk", "bv", "bo"):
-            t(f"{base}.attn.{bias}", np.zeros(d))
-        t(f"{base}.ln2.g", np.ones(d))
-        t(f"{base}.ln2.b", np.zeros(d))
-        t(f"{base}.mlp.w1", _xavier(rng, d, mlp))
-        t(f"{base}.mlp.b1", np.zeros(mlp))
-        t(f"{base}.mlp.w2", _xavier(rng, mlp, d))
-        t(f"{base}.mlp.b2", np.zeros(d))
-    t("backbone.ln_f.g", np.ones(d))
-    t("backbone.ln_f.b", np.zeros(d))
-    head_rng = streams.generator("init.head")
-    t("head.w", _xavier(head_rng, d, cfg.num_classes))
-    t("head.b", np.zeros(cfg.num_classes))
+        shapes.update({f"{base}.ln1.g": (d,), f"{base}.ln1.b": (d,)})
+        shapes.update({f"{base}.attn.{proj}": (d, d) for proj in ("wq", "wk", "wv", "wo")})
+        shapes.update({f"{base}.attn.{bias}": (d,) for bias in ("bq", "bk", "bv", "bo")})
+        shapes.update({f"{base}.ln2.g": (d,), f"{base}.ln2.b": (d,),
+                       f"{base}.mlp.w1": (d, mlp), f"{base}.mlp.b1": (mlp,),
+                       f"{base}.mlp.w2": (mlp, d), f"{base}.mlp.b2": (d,)})
+    shapes.update({"backbone.ln_f.g": (d,), "backbone.ln_f.b": (d,),
+                   "head.w": (d, cfg.num_classes), "head.b": (cfg.num_classes,)})
+    return shapes
+
+
+def init_backbone(cfg: ModelConfig, streams: SeededStreams) -> Params:
+    """Fresh trainable backbone + head parameters, deterministic per seed.
+
+    Norm gains start at one, biases at zero, the positional and CLS
+    embeddings at N(0, 0.02^2), and every matrix Xavier-uniform; the head
+    draws from its own stream.
+    """
+    cfg.validate()
+    rng, head_rng = streams.generator("init.backbone"), streams.generator("init.head")
+    p: Params = {}
+    for name, shape in param_shapes(cfg).items():
+        if name in ("backbone.pos", "backbone.cls"):
+            value = rng.normal(0.0, 0.02, size=shape)
+        elif name.endswith(".g"):
+            value = np.ones(shape)
+        elif len(shape) == 1:
+            value = np.zeros(shape)
+        else:
+            value = _xavier(head_rng if name.startswith("head.") else rng, *shape)
+        p[name] = Tensor(value, requires_grad=True)
     return p
 
 
@@ -94,14 +99,14 @@ def encoder_layer_forward(
     params: Mapping[str, Tensor],
     cfg: ModelConfig,
     rows: int | None = None,
-    prompts: Tensor | None = None,
+    prompts: Sequence[Tensor] = (),
 ) -> Tensor:
     """One pre-norm block: x + attn(LN(x)), then + MLP(LN(.)).
 
-    `prompts` (B, k, d) join the keys and values only: the block attends over
-    the context [tokens | prompts] and returns the rows of `tokens`. With
-    `rows` it returns only the first `rows` of them; queries, the residual and
-    the MLP run on the returned rows alone.
+    `prompts`, blocks of (B, k_j, d) rows, join the keys and values only: the
+    block attends over the context [tokens | *prompts] and returns the rows of
+    `tokens`. With `rows` it returns only the first `rows` of them; queries,
+    the residual and the MLP run on the returned rows alone.
     """
     if not 0 <= layer_idx < cfg.depth:
         raise ConfigError(f"layer index {layer_idx} out of range for depth {cfg.depth}")
@@ -112,7 +117,7 @@ def encoder_layer_forward(
     def w(name: str) -> Tensor:
         return params[f"{base}.{name}"]
 
-    context = tokens if prompts is None else T.concat([tokens, prompts], axis=-2)
+    context = T.concat([tokens, *prompts], axis=-2) if prompts else tokens
     h = T.layer_norm(context, w("ln1.g"), w("ln1.b"))
     k = T.linear(h, w("attn.wk"), w("attn.bk"))
     v = T.linear(h, w("attn.wv"), w("attn.bv"))
@@ -150,10 +155,6 @@ def freeze_backbone(params: Params) -> frozenset[str]:
         params[name].requires_grad = False
         params[name].grad = None
     return frozen
-
-
-def trainable_names(params: Params) -> list[str]:
-    return sorted(name for name, p in params.items() if p.requires_grad)
 
 
 def frozen_digest(params: Mapping[str, Tensor], frozen: Iterable[str]) -> str:

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backbone as B
+from . import prompts as P
+from . import vae as V
 from .config import ModelConfig, RunConfig, config_from_text, config_to_text
 from .errors import FormatError
 from .model import PromptedClassifier
@@ -117,11 +120,13 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Cursor over a memoryview of the file: `take` returns views, not copies."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.at = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.at + n > len(self.blob):
             raise FormatError(f"truncated file while reading {what}")
         chunk = self.blob[self.at:self.at + n]
@@ -134,7 +139,7 @@ class _Reader:
 
     def name(self, what: str) -> str:
         n = self.unpack("<H", f"{what} name length")
-        return self.take(n, f"{what} name").decode("utf-8")
+        return str(self.take(n, f"{what} name"), "utf-8")
 
     def array(self, what: str) -> np.ndarray:
         tag, rank = self.unpack("<BB", f"{what} dtype/rank")
@@ -145,7 +150,7 @@ class _Reader:
         arr = np.frombuffer(self.take(math.prod(shape) * dt.itemsize, f"{what} data"), dtype=dt)
         if not np.isfinite(arr).all():
             raise FormatError(f"non-finite value in {what}")
-        return arr.reshape(shape).copy()
+        return arr.reshape(shape).copy()  # the one copy, off the file's buffer
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -159,13 +164,14 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported version {version}")
     footer = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) != footer:
+    body = memoryview(blob)[:-4]
+    if zlib.crc32(body) != footer:
         raise FormatError("checksum mismatch in footer")
 
-    r = _Reader(blob[:-4])
+    r = _Reader(body)
     r.at = 8
     text_len = r.unpack("<I", "config length")
-    text = r.take(text_len, "config text").decode("utf-8")
+    text = str(r.take(text_len, "config text"), "utf-8")
     if r.unpack("<I", "config hash") != zlib.crc32(text.encode("utf-8")):
         raise FormatError("config hash mismatch")
 
@@ -229,8 +235,30 @@ def snapshot(
     )
 
 
+def _check_tensors(cfg: ModelConfig, ck: Checkpoint) -> None:
+    """Names and shapes against the config: the backbone and head always,
+    each adapter group (domain prompts, latent generator) whole or not at all,
+    and a freeze mask naming only tensors the file holds."""
+    names = ck.tensors.keys()
+    expected = B.param_shapes(cfg)
+    for group in (P.param_shapes(cfg), V.param_shapes(cfg)):
+        if group.keys() & names:
+            expected.update(group)
+    for problem, found in (("lacks tensor", expected.keys() - names),
+                           ("has unexpected tensor", names - expected.keys()),
+                           ("freezes unknown tensor", ck.frozen - names)):
+        if found:
+            raise FormatError(f"checkpoint {problem}(s) {', '.join(map(repr, sorted(found)))}")
+    for name, shape in expected.items():
+        if ck.tensors[name].shape != shape:
+            raise FormatError(
+                f"tensor {name!r} has shape {ck.tensors[name].shape}, its config implies {shape}"
+            )
+
+
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
     cfg, run = ck.configs()
+    _check_tensors(cfg.validate(), ck)
     params = {
         name: Tensor(arr, requires_grad=name not in ck.frozen)
         for name, arr in ck.tensors.items()

@@ -69,8 +69,8 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     # nothing frozen here: the backbone itself is being trained
     model = PromptedClassifier.init(cfg, SeededStreams(run.seed))
     trainer = Trainer(model, run, ds)
-    trainer.train()
-    acc = evaluate(model, ds)
+    # the last step already evaluated on the same data
+    acc = trainer.train()[-1].accuracy
     save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), args.out)
     trainer.write_metrics(str(args.out) + ".metrics.jsonl")
     print(f"pretrain: {trainer.step} steps, train accuracy {acc:.6f}")
@@ -91,8 +91,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     model = PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(run.seed))
     train_ds, test_ds = split(ds, run.train_frac, run.seed)
     trainer = Trainer(model, run, train_ds)
-    trainer.train(eval_dataset=test_ds)
-    acc = evaluate(model, test_ds)
+    acc = trainer.train(eval_dataset=test_ds)[-1].accuracy
     save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), args.out)
     trainer.write_metrics(str(args.out) + ".metrics.jsonl")
     print(f"tune [{args.method}]: {trainer.step} steps, test accuracy {acc:.6f}")

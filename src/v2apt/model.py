@@ -23,7 +23,7 @@ from . import backbone as B
 from . import prompts as P
 from . import vae as V
 from .config import ModelConfig
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import SeededStreams
 from .tensor import Tensor, expand_leading, slice_axis
 
@@ -120,7 +120,7 @@ class PromptedClassifier:
 
     def _composed_prompts(
         self, embeddings: Tensor, batch: int, train: bool, eps: Tensor | None, rng
-    ) -> tuple[list[Tensor] | None, Tensor | None, V.LatentDistribution | None]:
+    ) -> tuple[list[list[Tensor]], Tensor | None, V.LatentDistribution | None]:
         cfg = self.cfg
         inst = dom = None
         kl = dist = None
@@ -134,29 +134,7 @@ class PromptedClassifier:
             dom = [
                 expand_leading(self.params[f"prompts.{i}"], batch) for i in range(cfg.depth)
             ]
-        if inst is not None and dom is not None:
-            return V.compose_prompts(inst, dom, cfg), kl, dist
-        if inst is not None:
-            if cfg.prompt_inst != cfg.prompt_len:
-                raise ConfigError(
-                    f"token budget violated: {cfg.prompt_inst} instance tokens alone != k = {cfg.prompt_len}"
-                )
-            return inst, kl, dist
-        if dom is not None:
-            return dom, kl, dist
-        return None, kl, dist
-
-    def _assert_parity(
-        self, tokens: Tensor, prompts: Tensor | None, layer_idx: int, layout: P.SequenceLayout
-    ) -> None:
-        # the token-budget contract: every layer attends over 1 + num_patches + k tokens
-        expected = 1 + self.cfg.num_patches + self.active_budget
-        context = tokens.shape[-2] + (0 if prompts is None else prompts.shape[-2])
-        if context != expected or context != layout.total:
-            raise ContractError(
-                f"layer {layer_idx}: sequence length {context} != 1 + {self.cfg.num_patches} "
-                f"+ {self.active_budget}"
-            )
+        return V.compose_prompts(inst, dom, cfg), kl, dist
 
     def forward(
         self,
@@ -179,7 +157,6 @@ class PromptedClassifier:
         batch = images.shape[0]
         embeddings = B.patch_embed(images, self.params, cfg)
         composed, kl, dist = self._composed_prompts(embeddings, batch, train, eps, rng)
-        layout = P.SequenceLayout(prompt_len=self.active_budget, num_patches=cfg.num_patches)
         x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
 
         captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -188,13 +165,12 @@ class PromptedClassifier:
         cls_only = cfg.depth - 1 not in capture_layers
         for i in range(cfg.depth):
             # CLS and patches carry all cross-layer state; each layer's fresh
-            # prompts join its keys and values only
-            prompts = composed[i] if composed else None
-            self._assert_parity(x, prompts, i, layout)
+            # prompt blocks join its keys and values only
             rows = 1 if cls_only and i == cfg.depth - 1 else None
-            x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=prompts)
+            x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=composed[i])
             if i in capture_layers:
-                prompt_in = prompts.data.copy() if composed else np.zeros((batch, 0, cfg.dim))
+                blocks = [p.data for p in composed[i]] or [np.zeros((batch, 0, cfg.dim))]
+                prompt_in = np.concatenate(blocks, axis=-2)
                 captures[i] = (prompt_in, x.data[:, 1:].copy())
 
         if not cls_only:

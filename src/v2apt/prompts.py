@@ -2,8 +2,10 @@
 
 Every encoder layer attends over the same layout: [CLS | patches | prompts].
 Only the CLS and patch rows are carried from layer to layer; each layer's
-fresh prompt rows join its keys and values alone, so the token budget k is
-constant across depth and no prompt output is ever computed.
+fresh prompt blocks (`vae.compose_prompts` builds them and checks the token
+budget k) join its keys and values alone, so k is constant across depth and
+no prompt output is ever computed. `SequenceLayout`, `splice_prompts` and
+`strip_prompt_tokens` have no caller in the package.
 """
 
 from __future__ import annotations
@@ -43,15 +45,18 @@ class SequenceLayout:
             )
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the per-layer domain prompts, k_dom x d each."""
+    return {f"prompts.{i}": (cfg.prompt_dom, cfg.dim) for i in range(cfg.depth)}
+
+
 def init_domain_prompts(cfg: ModelConfig, streams: SeededStreams) -> Params:
     """Per-layer domain prompts, uniform in [-v, v] with v = sqrt(6 / (d + d))."""
     rng = streams.generator("init.prompts")
     limit = np.sqrt(6.0 / (cfg.dim + cfg.dim))
     return {
-        f"prompts.{i}": Tensor(
-            rng.uniform(-limit, limit, size=(cfg.prompt_dom, cfg.dim)), requires_grad=True
-        )
-        for i in range(cfg.depth)
+        name: Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+        for name, shape in param_shapes(cfg).items()
     }
 
 

@@ -687,51 +687,40 @@ def attention(q, k, v, heads: int) -> Tensor:
 LAYER_NORM_EPS = 1e-6
 
 
-def layer_norm(a, gamma=None, beta=None, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then `* gamma + beta`.
 
-    The affine part is optional; `gamma` and `beta` come as a pair, each of
-    the normalized width.
+    `gamma` and `beta` are each of the normalized width; pass frozen ones and
+    zeros for the plain normalization.
     """
-    a = as_tensor(a)
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     d = a.shape[-1] if a.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm over an empty axis")
-    affine = gamma is not None or beta is not None
-    if affine:
-        if gamma is None or beta is None:
-            raise ShapeError("layer_norm: gamma and beta come as a pair")
-        gamma, beta = as_tensor(gamma), as_tensor(beta)
-        if gamma.shape != (d,) or beta.shape != (d,):
-            raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be ({d},)")
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must be ({d},)")
     mu = _row_sum(a.data) / d
     centered = a.data - mu
     var = _row_sum(centered * centered) / d
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
-    if affine:
-        z = y * gamma.data
-        z += beta.data
-        needs_grad = a.requires_grad or gamma.requires_grad or beta.requires_grad
-    else:
-        z, needs_grad = y, a.requires_grad
-    out = _out(z, needs_grad)
+    z = y * gamma.data
+    z += beta.data
+    out = _out(z, a.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        if affine:
-            if gamma.requires_grad:
-                accumulate_grad(gamma, (g * y).reshape(-1, d).sum(axis=0))
-            if beta.requires_grad:
-                accumulate_grad(beta, g.reshape(-1, d).sum(axis=0))
-            if not a.requires_grad:
-                return
-            g = g * gamma.data
+        if gamma.requires_grad:
+            accumulate_grad(gamma, (g * y).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            accumulate_grad(beta, g.reshape(-1, d).sum(axis=0))
+        if not a.requires_grad:
+            return
+        g = g * gamma.data
         gm = _row_sum(g) / d
         gym = _row_sum(g * y) / d
         accumulate_grad(a, inv * (g - gm - y * gym))
 
-    inputs = (a, gamma, beta) if affine else (a,)
-    record_operation("layer_norm", inputs, out, adjoint)
+    record_operation("layer_norm", (a, gamma, beta), out, adjoint)
     return out
 
 

@@ -128,15 +128,6 @@ class StepMetrics:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-@dataclass
-class EpochMetrics:
-    epoch: int
-    mean_task_ce: float
-    mean_kl: float
-    mean_total: float
-    accuracy: float
-
-
 def evaluate(model: PromptedClassifier, ds: Dataset) -> float:
     """Eval-mode accuracy over the dataset; deterministic (Z = mu, first-max)."""
     if len(ds) == 0:
@@ -196,23 +187,9 @@ class Trainer:
         self.history.append(metrics)
         return metrics
 
-    def train_epoch(self) -> EpochMetrics:
-        """One pass of steps_per_epoch batches, then eval-mode accuracy."""
-        if self.steps_per_epoch == 0:
-            raise ValidationError("dataset too small for one batch")
-        epoch = self.step // self.steps_per_epoch
-        steps = [self.train_step() for _ in range(self.steps_per_epoch)]
-        acc = evaluate(self.model, self.dataset)
-        return EpochMetrics(
-            epoch=epoch,
-            mean_task_ce=float(np.mean([s.task_ce for s in steps])),
-            mean_kl=float(np.mean([s.kl for s in steps])),
-            mean_total=float(np.mean([s.task_ce + s.beta * s.kl for s in steps])),
-            accuracy=acc,
-        )
-
     def train(self, until_step: int | None = None, eval_dataset: Dataset | None = None) -> list[StepMetrics]:
-        """Run to the step budget; accuracy is attached at each epoch boundary."""
+        """Run to the step budget; accuracy is attached at each epoch boundary and
+        at the last step."""
         target = self.run.steps if until_step is None else until_step
         while self.step < target:
             m = self.train_step()

@@ -2,8 +2,10 @@
 
 The encoder maps the mean-pooled frozen patch embedding of an image to
 (mu, logvar); a latent draw (reparameterized in training, mu at eval) decodes
-in one shot to all N layers' instance prompt blocks. Composition places
-instance rows before the shared domain rows under the fixed token budget.
+in one shot to all N layers' instance prompt blocks. `compose_prompts` is the
+one place that assembles each layer's prompts: the instance block before the
+shared domain block, under the fixed token budget. The blocks stay separate;
+each encoder layer concatenates them into its context once.
 """
 
 from __future__ import annotations
@@ -37,26 +39,27 @@ class LatentDistribution:
             raise ShapeError(f"mu {self.mu.shape} and logvar {self.logvar.shape} differ")
 
 
-def init_vae(cfg: ModelConfig, streams: SeededStreams) -> Params:
-    """Encoder d -> h -> 2z and decoder z -> h -> N*k_inst*d, all trainable."""
-    rng = streams.generator("init.vae")
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the encoder d -> h -> 2z and decoder z -> h -> N*k_inst*d."""
     d, h, z = cfg.dim, cfg.vae_hidden, cfg.latent_dim
     out = cfg.depth * cfg.prompt_inst * cfg.dim
-
-    def xavier(fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     return {
-        "vae.enc.w1": Tensor(xavier(d, h), requires_grad=True),
-        "vae.enc.b1": Tensor(np.zeros(h), requires_grad=True),
-        "vae.enc.w2": Tensor(xavier(h, 2 * z), requires_grad=True),
-        "vae.enc.b2": Tensor(np.zeros(2 * z), requires_grad=True),
-        "vae.dec.w1": Tensor(xavier(z, h), requires_grad=True),
-        "vae.dec.b1": Tensor(np.zeros(h), requires_grad=True),
-        "vae.dec.w2": Tensor(xavier(h, out), requires_grad=True),
-        "vae.dec.b2": Tensor(np.zeros(out), requires_grad=True),
+        "vae.enc.w1": (d, h), "vae.enc.b1": (h,), "vae.enc.w2": (h, 2 * z), "vae.enc.b2": (2 * z,),
+        "vae.dec.w1": (z, h), "vae.dec.b1": (h,), "vae.dec.w2": (h, out), "vae.dec.b2": (out,),
     }
+
+
+def init_vae(cfg: ModelConfig, streams: SeededStreams) -> Params:
+    """Xavier-uniform matrices and zero biases, all trainable."""
+    rng = streams.generator("init.vae")
+
+    def init(shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
+        limit = np.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
+
+    return {n: Tensor(init(shape), requires_grad=True) for n, shape in param_shapes(cfg).items()}
 
 
 def pool_input_embeddings(embeddings: Tensor) -> Tensor:
@@ -107,13 +110,9 @@ def decode(z: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> list[Te
         raise ShapeError(f"decoder input width {z.shape[-1]} does not match z={cfg.latent_dim}")
     h = T.gelu(T.linear(z, params["vae.dec.w1"], params["vae.dec.b1"]))
     flat = T.linear(h, params["vae.dec.w2"], params["vae.dec.b2"])
-    lead = z.shape[:-1]
-    stacked = flat.reshape(*lead, cfg.depth, cfg.prompt_inst, cfg.dim)
-    axis = len(lead)  # the layer axis
-    return [
-        T.slice_axis(stacked, axis, i, i + 1).reshape(*lead, cfg.prompt_inst, cfg.dim)
-        for i in range(cfg.depth)
-    ]
+    k = cfg.prompt_inst
+    rows = flat.reshape(*z.shape[:-1], cfg.depth * k, cfg.dim)
+    return [T.slice_axis(rows, -2, i * k, (i + 1) * k) for i in range(cfg.depth)]
 
 
 def kl_divergence(dist: LatentDistribution) -> Tensor:
@@ -158,28 +157,28 @@ def kl_monte_carlo(mu: np.ndarray, logvar: np.ndarray, n_samples: int, seed: int
     return float(total / (2 * half))
 
 
-def compose_prompts(inst: Sequence[Tensor], dom: Sequence[Tensor], cfg: ModelConfig) -> list[Tensor]:
-    """Per layer, concat [instance rows; domain rows]; enforces the budget k.
+def compose_prompts(
+    inst: Sequence[Tensor] | None, dom: Sequence[Tensor] | None, cfg: ModelConfig
+) -> list[list[Tensor]]:
+    """Per layer, the prompt blocks [instance rows, domain rows]; enforces the budget.
 
-    Degenerate splits fall out naturally: k_inst=0 returns the domain prompts
-    unchanged, k_dom=0 returns pure instance prompts.
+    An absent side (None) contributes no block. With instance rows present a
+    layer's rows add up to k = `prompt_len`; with domain rows alone they add
+    up to `prompt_dom`, so `prompt_inst = 0` is the deep prompting baseline
+    itself. With neither side there are no prompts and nothing to check.
     """
-    if len(inst) != len(dom):
-        raise ConfigError(f"layer counts differ: {len(inst)} instance vs {len(dom)} domain")
-    composed = []
-    for i, (pi, pd) in enumerate(zip(inst, dom)):
-        k_inst = pi.shape[-2]
-        k_dom = pd.shape[-2]
-        if k_inst + k_dom != cfg.prompt_len:
+    sides = [side for side in (inst, dom) if side is not None]
+    for side in sides:
+        if len(side) != cfg.depth:
+            raise ConfigError(f"expected {cfg.depth} prompt blocks per side, got {len(side)}")
+    if not sides:
+        return [[] for _ in range(cfg.depth)]
+    budget = cfg.prompt_len if inst is not None else cfg.prompt_dom
+    layers = [list(blocks) for blocks in zip(*sides)]
+    for i, blocks in enumerate(layers):
+        rows = [b.shape[-2] for b in blocks]
+        if sum(rows) != budget:
             raise ConfigError(
-                f"layer {i}: token budget violated, {k_inst} + {k_dom} != k = {cfg.prompt_len}"
+                f"layer {i}: token budget violated, {' + '.join(map(str, rows))} != k = {budget}"
             )
-        if k_inst == 0:
-            composed.append(pd)
-        elif k_dom == 0:
-            composed.append(pi)
-        else:
-            if pi.ndim != pd.ndim:
-                raise ShapeError(f"layer {i}: rank mismatch {pi.shape} vs {pd.shape}")
-            composed.append(T.concat([pi, pd], axis=-2))
-    return composed
+    return layers

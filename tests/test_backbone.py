@@ -180,7 +180,7 @@ def _unfused_encoder_layer(layer_idx, tokens, params, cfg):
     nh, hd = cfg.heads, cfg.head_dim
 
     def affine_norm(x, g, beta):
-        return T.layer_norm(x) * g + beta
+        return T.layer_norm(x, np.ones(d), np.zeros(d)) * g + beta
 
     def heads(t):
         return t.reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
@@ -289,7 +289,7 @@ def test_key_value_prompt_rows_gradcheck_float64(tokens_trainable, rows):
         trainable = {"prompts": prompts, **({"tokens": tokens} if tokens_trainable else {})}
 
         def loss():
-            y = B.encoder_layer_forward(0, tokens, params, cfg, rows=rows, prompts=prompts)
+            y = B.encoder_layer_forward(0, tokens, params, cfg, rows=rows, prompts=[prompts])
             return (y * probe).sum()
 
         report = finite_diff_check(loss, trainable, eps=1e-6, tol=1e-7)
@@ -306,7 +306,7 @@ def _record_ops(rows):
     x = Tensor(g.standard_normal((2, 5, cfg.dim)), requires_grad=True)
     prompts = Tensor(g.standard_normal((2, 3, cfg.dim)), requires_grad=True)
     with Tape() as tape:
-        y = B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=prompts)
+        y = B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=[prompts])
     assert y.shape == (2, rows or 5, cfg.dim)
     return [r.op for r in tape.records]
 
@@ -333,4 +333,4 @@ def test_rows_out_of_range_rejected():
     prompts = Tensor(np.zeros((2, 3, cfg.dim)))
     for rows in (0, 6):
         with pytest.raises(ShapeError, match="rows"):
-            B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=prompts)
+            B.encoder_layer_forward(0, x, params, cfg, rows=rows, prompts=[prompts])

@@ -15,7 +15,7 @@ import pytest
 
 from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
-from v2apt.config import RunConfig, config_to_text, tiny_config
+from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,78 @@ def test_checkpoint_with_nan_parameter_exits_3(workdir, tmp_path, capsys):
     assert rc == 3
     assert "non-finite value in tensor 'prompts.1'" in err
     assert "Traceback" not in err
+
+
+def _drop_patch_weight(ck):
+    del ck.tensors["backbone.patch.w"]
+
+
+def _misshape_head(ck):
+    ck.tensors["head.w"] = ck.tensors["head.w"][:, :2].copy()
+
+
+def _add_stray_tensor(ck):
+    ck.tensors["backbone.extra"] = np.zeros(3, dtype=np.float32)
+
+
+def _freeze_stray_name(ck):
+    ck.frozen = ck.frozen | {"backbone.no_such"}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_patch_weight, "lacks tensor(s) 'backbone.patch.w'"),
+    (_misshape_head, "tensor 'head.w' has shape (16, 2), its config implies (16, 3)"),
+    (_add_stray_tensor, "has unexpected tensor(s) 'backbone.extra'"),
+    (_freeze_stray_name, "freezes unknown tensor(s) 'backbone.no_such'"),
+])
+@pytest.mark.parametrize("command", ["eval", "tune"])
+def test_checkpoint_disagreeing_with_its_config_exits_3(workdir, tmp_path, capsys,
+                                                        corrupt, message, command):
+    # CRC-valid files whose tensors or freeze mask do not fit their own config
+    source = "tuned.v2ap" if command == "eval" else "pre.v2ap"
+    ck = load_checkpoint(workdir / source)
+    corrupt(ck)
+    bad = tmp_path / "bad.v2ap"
+    save_checkpoint(ck, bad)
+    data = str(workdir / "easy.v2ds")
+    if command == "eval":
+        argv = ["eval", "--ckpt", str(bad), "--data", data]
+    else:
+        argv = ["tune", "--config", str(workdir / "cfg.txt"), "--backbone-ckpt", str(bad),
+                "--data", data, "--method", "v2apt", "--out", str(tmp_path / "t.v2ap")]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.v2ap").exists()
+
+
+def test_tune_evaluates_the_test_split_once_at_its_last_step(workdir, tmp_path, capsys,
+                                                             monkeypatch):
+    from v2apt.data import load_dataset, split
+    from v2apt.model import PromptedClassifier
+
+    _, run = config_from_text((workdir / "cfg.txt").read_text())
+    train_ds, test_ds = split(load_dataset(workdir / "easy.v2ds"), run.train_frac, run.seed)
+    steps = 8
+    assert len(train_ds) // run.batch_size > steps  # no epoch ends before the last step
+    calls = []
+    predict = PromptedClassifier.predict
+    monkeypatch.setattr(PromptedClassifier, "predict",
+                        lambda self, images, *a, **k: calls.append(len(images))
+                        or predict(self, images, *a, **k))
+    out = tmp_path / "t.v2ap"
+    capsys.readouterr()
+    assert main(["tune", "--config", str(workdir / "cfg.txt"), "--steps", str(steps),
+                 "--backbone-ckpt", str(workdir / "pre.v2ap"), "--data", str(workdir / "easy.v2ds"),
+                 "--method", "v2apt", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert calls == [len(test_ds)]  # the last step's evaluation, and no second one
+    metrics = [json.loads(ln) for ln in (tmp_path / "t.v2ap.metrics.jsonl").read_text().splitlines()]
+    assert [m["accuracy"] is not None for m in metrics] == [False] * (steps - 1) + [True]
+    assert f"test accuracy {metrics[-1]['accuracy']:.6f}" in printed
 
 
 def test_dataset_passed_as_checkpoint_exits_3(workdir, tmp_path):

@@ -147,7 +147,7 @@ def test_multilayer_composite_passes():
 
         def build():
             h = T.gelu(x @ w1 + b1)
-            h = T.layer_norm(h)
+            h = T.layer_norm(h, np.ones(8), np.zeros(8))
             return T.cross_entropy_with_logits(h @ w2, labels)
 
         report = finite_diff_check(build, {"w1": w1, "b1": b1, "w2": w2}, eps=1e-5, tol=1e-6)

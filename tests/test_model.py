@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from v2apt import backbone as B
+from v2apt import prompts as P
 from v2apt import tensor as T
+from v2apt import vae as V
 from v2apt.config import ModelConfig, default_config, tiny_config
 from v2apt.errors import ConfigError
 from v2apt.model import PromptedClassifier
@@ -116,14 +118,14 @@ def _old_path_forward(m, x, rng):
     embeddings = B.patch_embed(x, m.params, cfg)
     composed, kl, _ = m._composed_prompts(embeddings, batch, True, None, rng)
     cls = T.expand_leading(m.params["backbone.cls"], batch)
-    seq = T.concat([cls, composed[0], embeddings] if k else [cls, embeddings], axis=-2)
+    seq = T.concat([cls, *composed[0], embeddings], axis=-2)
     for i in range(cfg.depth):
         if i > 0 and k:
             stripped = T.concat(
                 [T.slice_axis(seq, -2, 0, 1), T.slice_axis(seq, -2, 1 + k, seq.shape[-2])], axis=-2
             )
             seq = T.concat(
-                [T.slice_axis(stripped, -2, 0, 1), composed[i],
+                [T.slice_axis(stripped, -2, 0, 1), *composed[i],
                  T.slice_axis(stripped, -2, 1, stripped.shape[-2])], axis=-2
             )
         seq = B.encoder_layer_forward(i, seq, m.params, cfg)
@@ -171,23 +173,107 @@ def test_key_value_prompts_match_the_strip_and_splice_path(
         np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
 
 
+def _parent_composition_forward(m, x, rng, capture_layers):
+    """The forward as it composed prompts before the layers took prompt blocks:
+    each instance block cut from the decoder output by a slice and a reshape,
+    one [instance | domain] concat per layer, then the layer's context concat."""
+    cfg, batch, params = m.cfg, x.shape[0], m.params
+    embeddings = B.patch_embed(x, params, cfg)
+    inst = kl = None
+    if m.has_generator:
+        dist = V.encode(V.pool_input_embeddings(embeddings), params, cfg)
+        z = V.reparameterize(dist, rng=rng, train=True)
+        h = T.gelu(T.linear(z, params["vae.dec.w1"], params["vae.dec.b1"]))
+        flat = T.linear(h, params["vae.dec.w2"], params["vae.dec.b2"])
+        stacked = flat.reshape(batch, cfg.depth, cfg.prompt_inst, cfg.dim)
+        inst = [T.slice_axis(stacked, 1, i, i + 1).reshape(batch, cfg.prompt_inst, cfg.dim)
+                for i in range(cfg.depth)]
+        kl = V.kl_divergence(dist)
+    dom = None
+    if m.has_prompts:
+        dom = [T.expand_leading(params[f"prompts.{i}"], batch) for i in range(cfg.depth)]
+    if inst is not None and dom is not None:
+        composed = [T.concat([pi, pd], axis=-2) for pi, pd in zip(inst, dom)]
+    else:
+        composed = inst or dom
+    x = P.merge_sequence(T.expand_leading(params["backbone.cls"], batch), embeddings)
+    cls_only = cfg.depth - 1 not in capture_layers
+    captures = {}
+    for i in range(cfg.depth):
+        prompts = composed[i] if composed else None
+        rows = 1 if cls_only and i == cfg.depth - 1 else None
+        # the layer's context concat [tokens | prompts], one composed block
+        blocks = [prompts] if composed else []
+        x = B.encoder_layer_forward(i, x, params, cfg, rows=rows, prompts=blocks)
+        if i in capture_layers:
+            prompt_in = prompts.data.copy() if composed else np.zeros((batch, 0, cfg.dim))
+            captures[i] = (prompt_in, x.data[:, 1:].copy())
+    if not cls_only:
+        x = T.slice_axis(x, -2, 0, 1)
+    logits = B.classify(B.final_norm(x, params).reshape(batch, cfg.dim), params)
+    return logits, kl, captures
+
+
+@pytest.mark.parametrize("capture_layers", [(), (0, 3)])
+@pytest.mark.parametrize("prompt_len, prompt_inst", [(8, 0), (8, 2), (8, 4), (8, 8), (0, 0)])
+@pytest.mark.parametrize("float64", [True, False])
+def test_prompt_blocks_match_the_parent_composition_bit_for_bit(
+    float64, prompt_len, prompt_inst, capture_layers
+):
+    cfg = ModelConfig(**{**default_config().__dict__,
+                         "prompt_len": prompt_len, "prompt_inst": prompt_inst})
+    labels = np.array([0, 1, 2, 3])
+    x = images(4, seed=3)
+    results = []
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        for parent in (True, False):
+            m = build(cfg)
+            m.freeze()
+            rng = SeededStreams(0).generator("eps")
+            with Tape() as tape:
+                if parent:
+                    logits, kl, captures = _parent_composition_forward(m, x, rng, capture_layers)
+                else:
+                    out = m.forward(x, train=True, rng=rng, capture_layers=capture_layers)
+                    logits, kl, captures = out.logits, out.kl, out.captures
+                loss = T.cross_entropy_with_logits(logits, labels)
+                tape.backward(loss if kl is None else loss + kl * 1e-3)
+            grads = {n: p.grad for n, p in m.trainables().items()}
+            results.append((logits.data, None if kl is None else kl.data, grads, captures))
+    (logits0, kl0, grads0, cap0), (logits1, kl1, grads1, cap1) = results
+    assert logits1.dtype == (np.float64 if float64 else np.float32)
+    assert np.array_equal(logits1, logits0)
+    assert (kl1 is None) == (kl0 is None) == (prompt_inst == 0)
+    assert kl1 is None or np.array_equal(kl1, kl0)
+    assert grads1.keys() == grads0.keys() and "head.w" in grads1
+    for name in grads1:
+        assert np.array_equal(grads1[name], grads0[name]), name
+    assert cap1.keys() == cap0.keys() == set(capture_layers)
+    for i in cap1:
+        for a, b in zip(cap1[i], cap0[i]):
+            assert a.dtype == b.dtype and np.array_equal(a, b), i
+
+
 def test_default_tune_step_records():
-    # per layer: one context concat and the 12 block records, one slice of the
-    # normed context to the carried rows, and a second slice in the CLS-only
-    # last layer; no strip or splice records between layers
-    cfg = default_config()
-    m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, SeededStreams(0)),
-                                           cfg, SeededStreams(1))
-    x = np.random.default_rng(0).random((8, 16, 16, 1)).astype(np.float32)
-    with Tape() as tape:
-        out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"))
-        total_loss(out.logits, np.zeros(8, dtype=np.int64), out.kl, 1e-3)
-    ops = [r.op for r in tape.records]
-    layers = ops[ops.index("layer_norm") - 1:ops.index("reshape", ops.index("layer_norm"))]
-    assert layers.count("concat") == cfg.depth
-    assert layers.count("slice") == cfg.depth + 1
-    assert len(layers) == 14 * cfg.depth + 1 + 1  # + the second last-layer slice, final_norm
-    assert len(ops) == 102
+    # per layer: one context concat over [tokens, *prompt blocks] and the 12
+    # block records, one slice of the normed context to the carried rows, and
+    # a second slice in the CLS-only last layer; no compose concat, and no
+    # strip or splice records between layers
+    for prompt_inst, records in ((4, 94), (0, 65)):  # v2apt, then vpt
+        cfg = ModelConfig(**{**default_config().__dict__, "prompt_inst": prompt_inst})
+        m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, SeededStreams(0)),
+                                               cfg, SeededStreams(1))
+        x = np.random.default_rng(0).random((8, 16, 16, 1)).astype(np.float32)
+        with Tape() as tape:
+            out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"))
+            total_loss(out.logits, np.zeros(8, dtype=np.int64), out.kl, 1e-3)
+        ops = [r.op for r in tape.records]
+        layers = ops[ops.index("layer_norm") - 1:ops.index("reshape", ops.index("layer_norm"))]
+        assert layers.count("concat") == cfg.depth
+        assert layers.count("slice") == cfg.depth + 1
+        assert len(layers) == 14 * cfg.depth + 1 + 1  # + the second last-layer slice, final_norm
+        assert ops.count("concat") == cfg.depth  # the frozen [CLS | patches] merge records nothing
+        assert len(ops) == records, prompt_inst
 
 
 def test_capturing_the_last_layer_returns_every_patch_token():

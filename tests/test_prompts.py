@@ -84,15 +84,15 @@ def test_deep_injection_uses_fresh_prompts():
     e = Tensor(rng.standard_normal((1, patches, cfg.dim)).astype(np.float32))
     cls = Tensor(rng.standard_normal((1, 1, cfg.dim)).astype(np.float32))
 
-    z1 = B.encoder_layer_forward(0, P.merge_sequence(cls, e), params, cfg, prompts=p1)
+    z1 = B.encoder_layer_forward(0, P.merge_sequence(cls, e), params, cfg, prompts=[p1])
     assert z1.shape == (1, 1 + patches, cfg.dim)
-    z2 = B.encoder_layer_forward(1, z1, params, cfg, prompts=p2)
+    z2 = B.encoder_layer_forward(1, z1, params, cfg, prompts=[p2])
     # the same layer over the context [z1 | p2] built by hand, on every row
     context = Tensor(np.concatenate([z1.data, p2.data], axis=1))
     full = B.encoder_layer_forward(1, context, params, cfg)
     np.testing.assert_allclose(z2.data, full.data[:, :1 + patches], rtol=0, atol=1e-5)
     # a different prompt block changes what the carried rows attend to
-    z2_other = B.encoder_layer_forward(1, z1, params, cfg, prompts=p1)
+    z2_other = B.encoder_layer_forward(1, z1, params, cfg, prompts=[p1])
     assert not np.allclose(z2.data, z2_other.data)
 
 

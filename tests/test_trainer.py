@@ -220,9 +220,9 @@ def test_epoch_metrics_and_batch_addressing():
     model = tuned_model()
     tr = TR.Trainer(model, tiny_run(steps=6), ds)
     assert tr.steps_per_epoch == 3
-    em = tr.train_epoch()
-    assert em.epoch == 0 and tr.step == 3
-    assert 0.0 <= em.accuracy <= 1.0
+    epoch = tr.train(until_step=3)
+    assert epoch[-1].step // tr.steps_per_epoch == 0 and tr.step == 3
+    assert 0.0 <= epoch[-1].accuracy <= 1.0
     # same epoch cursor gives the same shuffle; different epoch differs
     i0 = tr._batch_at(0)[1].tolist()
     i0b = tr._batch_at(0)[1].tolist()
@@ -312,5 +312,8 @@ def test_easy3_epoch_loss_strictly_decreases_three_epochs():
     for seed in (0, 1, 2):
         model = tuned_model(cfg, seed=seed)
         tr = TR.Trainer(model, RunConfig(seed=seed, batch_size=64, steps=300), ds)
-        totals = [tr.train_epoch().mean_total for _ in range(3)]
+        per = tr.steps_per_epoch
+        steps = tr.train(until_step=3 * per)
+        totals = [np.mean([s.task_ce + s.beta * s.kl for s in steps[e * per:(e + 1) * per]])
+                  for e in range(3)]
         assert totals[0] > totals[1] > totals[2], (seed, totals)

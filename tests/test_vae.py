@@ -203,10 +203,10 @@ def test_compose_instance_rows_come_first():
     inst = [Tensor(np.full((2, 4), 1.0 + i)) for i in range(2)]
     dom = [Tensor(np.full((3, 4), -1.0 - i)) for i in range(2)]
     out = V.compose_prompts(inst, dom, cfg)
-    for i, blk in enumerate(out):
-        assert blk.shape == (5, 4)
-        np.testing.assert_array_equal(blk.data[:2], inst[i].data)
-        np.testing.assert_array_equal(blk.data[2:], dom[i].data)
+    assert len(out) == 2
+    for i, blocks in enumerate(out):
+        assert len(blocks) == 2
+        assert blocks[0] is inst[i] and blocks[1] is dom[i]
 
 
 def test_compose_budget_violation_rejected():
@@ -215,18 +215,33 @@ def test_compose_budget_violation_rejected():
     dom = [Tensor(np.zeros((3, 4)))]
     with pytest.raises(ConfigError, match="budget"):
         V.compose_prompts(inst, dom, cfg)
+    # instance rows alone must fill the whole budget k
+    with pytest.raises(ConfigError, match="budget"):
+        V.compose_prompts(inst, None, cfg)
+    # domain rows alone must fill k - k_inst
+    with pytest.raises(ConfigError, match="budget"):
+        V.compose_prompts(None, [Tensor(np.zeros((6, 4)))], cfg)
+
+
+def test_compose_layer_count_mismatch_rejected():
+    cfg = ModelConfig(depth=2, dim=4, heads=2, prompt_len=3, prompt_inst=0)
+    with pytest.raises(ConfigError, match="2 prompt blocks"):
+        V.compose_prompts(None, [Tensor(np.zeros((3, 4)))], cfg)
 
 
 def test_compose_degenerate_splits():
     cfg = ModelConfig(depth=1, dim=4, heads=2, prompt_len=3, prompt_inst=0)
     dom = [Tensor(np.ones((3, 4)))]
-    out = V.compose_prompts([Tensor(np.zeros((0, 4)))], dom, cfg)
-    assert out[0] is dom[0]
+    out = V.compose_prompts(None, dom, cfg)
+    assert len(out[0]) == 1 and out[0][0] is dom[0]
 
     cfg2 = ModelConfig(depth=1, dim=4, heads=2, prompt_len=3, prompt_inst=3)
     inst = [Tensor(np.ones((3, 4)))]
-    out2 = V.compose_prompts(inst, [Tensor(np.zeros((0, 4)))], cfg2)
-    assert out2[0] is inst[0]
+    out2 = V.compose_prompts(inst, None, cfg2)
+    assert len(out2[0]) == 1 and out2[0][0] is inst[0]
+
+    # no prompts at all: one empty block list per layer, whatever k says
+    assert V.compose_prompts(None, None, ModelConfig(depth=2, dim=4, heads=2)) == [[], []]
 
 
 def test_encode_width_mismatch():
