@@ -132,8 +132,7 @@ def encoder_layer_forward(
     x = tokens + T.linear(T.attention(q, k, v, cfg.heads), w("attn.wo"), w("attn.bo"))
 
     h2 = T.layer_norm(x, w("ln2.g"), w("ln2.b"))
-    mlp = T.linear(T.gelu(T.linear(h2, w("mlp.w1"), w("mlp.b1"))), w("mlp.w2"), w("mlp.b2"))
-    return x + mlp
+    return x + T.mlp(h2, w("mlp.w1"), w("mlp.b1"), w("mlp.w2"), w("mlp.b2"))
 
 
 def final_norm(tokens: Tensor, params: Mapping[str, Tensor]) -> Tensor:

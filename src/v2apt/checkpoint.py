@@ -272,6 +272,7 @@ def restore_optimizer(ck: Checkpoint) -> AdamW | None:
     o = ck.optimizer
     opt = AdamW(sorted(o.m), o.lr, o.weight_decay, o.beta1, o.beta2, o.eps)
     opt.t = o.t
-    opt.m = {k: v.copy() for k, v in o.m.items()}
-    opt.v = {k: v.copy() for k, v in o.v.items()}
+    # the checkpoint's arrays are already owned, and AdamW.step replaces its
+    # moments rather than writing into them, so they are shared uncopied
+    opt.m, opt.v = dict(o.m), dict(o.v)
     return opt

@@ -11,7 +11,7 @@ broadcasts, which keeps every adjoint a few lines of auditable numpy.
 
 Adjoints are frozen-aware: a multi-input primitive computes the gradient of
 an input only when that input requires one, so a frozen weight costs no
-backward work. `linear`, affine `layer_norm` and `attention` are fused
+backward work. `linear`, affine `layer_norm`, `attention` and `mlp` are fused
 primitives, one tape record each, for the transformer's hot path.
 """
 
@@ -21,7 +21,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .errors import ContractError, NumericError, ShapeError, ValidationError
 
@@ -190,10 +189,14 @@ class Tape:
         return tuple(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Propagate d(loss)/d(leaf) into every recorded tensor's grad buffer.
+        """Propagate d(loss)/d(leaf) into the grad buffer of every leaf.
 
-        Leaves that do not reach the loss end with an all-zero buffer rather
-        than None, so callers can treat every recorded leaf uniformly.
+        A leaf is an input that no record on this tape produced. Each
+        intermediate's gradient is dropped as soon as its record's adjoint
+        has consumed it, so intermediates end with `grad` None and only the
+        loss keeps its own. Trainable leaves that do not reach the loss end
+        with an all-zero buffer rather than None, so callers can treat every
+        recorded leaf uniformly.
         """
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -203,13 +206,16 @@ class Tape:
             raise ContractError("loss tensor was not produced on this tape")
         loss.grad = np.ones_like(loss.data)
         for rec in reversed(self._records):
-            out_grad = rec.output.grad
-            if out_grad is None:
+            out = rec.output
+            if out.grad is None:
                 continue  # this branch never reached the loss
-            rec.adjoint(out_grad)
+            rec.adjoint(out.grad)
+            if out is not loss:
+                out.grad = None  # every consumer of `out` has already run
+        produced = {id(rec.output) for rec in self._records}
         for rec in self._records:
             for t in rec.inputs:
-                if t.requires_grad and t.grad is None:
+                if t.requires_grad and t.grad is None and id(t) not in produced:
                     t.grad = np.zeros_like(t.data)
 
 
@@ -544,14 +550,16 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #     gelu(x) = max(x, 0) - |x| * e(|x|)
 # which is exact algebra for both signs. The tail is small where |x| is large,
 # so its float32 rounding stays far below the output's own. Past a = 6 the
-# tail (1e-9) is taken as 0 and GELU is exactly relu.
+# tail (1e-9) is taken as 0 and GELU is exactly relu. The table is built with
+# `math.erfc`, so importing this module does not load scipy.special; float64
+# mode imports scipy's erf where it runs.
 _TAIL_STEP = 1.0 / 1024
 _TAIL_END = 6.0
 
 
 def _tail_table() -> tuple[np.ndarray, np.ndarray]:
-    a = np.arange(round(_TAIL_END / _TAIL_STEP) + 2) * _TAIL_STEP
-    tail = ndtr(-a)
+    n = round(_TAIL_END / _TAIL_STEP) + 2
+    tail = np.array([0.5 * math.erfc(i * _TAIL_STEP * _INV_SQRT2) for i in range(n)])
     tail[-2:] = 0.0
     return tail[:-1].astype(np.float32), np.diff(tail).astype(np.float32)
 
@@ -565,6 +573,52 @@ _TAIL, _TAIL_SLOPE = _tail_table()
 GELU_BLOCK = 1 << 14
 
 
+def _gelu(x: np.ndarray, y: np.ndarray, cdf: np.ndarray | None) -> None:
+    """GELU of the flat array `x` into `y`, and Phi(x) into `cdf` unless it is None.
+
+    Float64 takes erf from scipy, the reference. Float32 reads the tail table
+    above, GELU_BLOCK elements at a time.
+    """
+    if x.dtype == np.float64:
+        from scipy.special import erf
+
+        c = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        np.multiply(x, c, out=y)
+        if cdf is not None:
+            cdf[...] = c
+        return
+    m = min(GELU_BLOCK, x.size)
+    absx, pos, low, tail = np.empty((4, m), dtype=np.float32)
+    idx = np.empty(m, dtype=np.intp)
+    for lo in range(0, x.size, GELU_BLOCK):
+        hi = min(lo + GELU_BLOCK, x.size)
+        n = hi - lo
+        xb, ab, u, w, e, i = x[lo:hi], absx[:n], pos[:n], low[:n], tail[:n], idx[:n]
+        np.abs(xb, out=ab)
+        np.minimum(ab, _TAIL_END, out=ab)
+        np.multiply(ab, 1.0 / _TAIL_STEP, out=u)
+        np.trunc(u, out=w)
+        np.copyto(i, w, casting="unsafe")
+        u -= w  # position between table entries
+        np.take(_TAIL_SLOPE, i, out=e, mode="clip")
+        e *= u
+        e += np.take(_TAIL, i, out=w, mode="clip")
+        ab *= e
+        np.maximum(xb, 0.0, out=y[lo:hi])
+        y[lo:hi] -= ab
+        if cdf is not None:  # Phi(x): e below 0, 1 - e above
+            c = cdf[lo:hi]
+            np.subtract(0.5, e, out=c)
+            np.copysign(c, xb, out=c)
+            c += 0.5
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = Phi(x) + x * phi(x)."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return cdf + x * pdf
+
+
 def gelu(a) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit.
 
@@ -575,43 +629,85 @@ def gelu(a) -> Tensor:
     a = as_tensor(a)
     x = np.ascontiguousarray(a.data).reshape(-1)
     keep = a.requires_grad and _active_tape() is not None  # the adjoint needs the cdf
-    if x.dtype == np.float64:
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        y = x * cdf
-    else:
-        y = np.empty_like(x)
-        cdf = np.empty_like(x) if keep else None
-        m = min(GELU_BLOCK, x.size)
-        absx, pos, low, tail = np.empty((4, m), dtype=np.float32)
-        idx = np.empty(m, dtype=np.intp)
-        for lo in range(0, x.size, GELU_BLOCK):
-            hi = min(lo + GELU_BLOCK, x.size)
-            n = hi - lo
-            xb, ab, u, w, e, i = x[lo:hi], absx[:n], pos[:n], low[:n], tail[:n], idx[:n]
-            np.abs(xb, out=ab)
-            np.minimum(ab, _TAIL_END, out=ab)
-            np.multiply(ab, 1.0 / _TAIL_STEP, out=u)
-            np.trunc(u, out=w)
-            np.copyto(i, w, casting="unsafe")
-            u -= w  # position between table entries
-            np.take(_TAIL_SLOPE, i, out=e, mode="clip")
-            e *= u
-            e += np.take(_TAIL, i, out=w, mode="clip")
-            ab *= e
-            np.maximum(xb, 0.0, out=y[lo:hi])
-            y[lo:hi] -= ab
-            if keep:  # Phi(x): e below 0, 1 - e above
-                c = cdf[lo:hi]
-                np.subtract(0.5, e, out=c)
-                np.copysign(c, xb, out=c)
-                c += 0.5
+    y = np.empty_like(x)
+    cdf = np.empty_like(x) if keep else None
+    _gelu(x, y, cdf)
     out = _out(y.reshape(a.shape), a.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        accumulate_grad(a, (g.reshape(-1) * (cdf + x * pdf)).reshape(a.shape))
+        accumulate_grad(a, (g.reshape(-1) * _gelu_slope(x, cdf)).reshape(a.shape))
 
     record_operation("gelu", (a,), out, adjoint)
+    return out
+
+
+# `mlp` works through its input in blocks of this many rows, so a block's
+# hidden activation (256 x 192 float32 in the default encoder, 192 KiB) stays
+# in a core's L2 cache and no full-width activation exists outside a tape.
+# 256 to 1024 rows measured the same.
+MLP_ROWS = 256
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """Two-layer perceptron `gelu(x @ w1 + b1) @ w2 + b2` over the last axis of `x`.
+
+    One tape record whose values equal `linear`, `gelu`, `linear` bit for
+    bit. The rows run in blocks of MLP_ROWS. Under a tape the pre-activation
+    and Phi of the hidden layer are kept for the adjoint, and the GELU output
+    only when `w2` needs a gradient. Keeping that output rather than
+    recomputing it in the adjoint adds 2.6 MB to the 19.9 MB peak of a
+    default batch-64 pretrain step and saves a GELU pass per layer, which
+    made the step about 30% slower (2-core x86-64, two BLAS threads).
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1
+            or x.shape[-1] != w1.shape[0] or w2.shape[0] != w1.shape[1]):
+        raise ShapeError(f"mlp: cannot apply weights {w1.shape}, {w2.shape} to input {x.shape}")
+    k, h = w1.shape
+    n = w2.shape[1]
+    if b1.shape != (h,) or b2.shape != (n,):
+        raise ShapeError(f"mlp: biases {b1.shape}, {b2.shape} do not match widths {h}, {n}")
+    x2 = x.data.reshape(-1, k)
+    rows = x2.shape[0]
+    requires_grad = any(t.requires_grad for t in (x, w1, b1, w2, b2))
+    keep = requires_grad and _active_tape() is not None
+    y = np.empty((rows, n), dtype=x2.dtype)
+    pre = np.empty((rows if keep else min(rows, MLP_ROWS), h), dtype=x2.dtype)
+    cdf = np.empty_like(pre) if keep else None
+    keep_act = keep and w2.requires_grad
+    act = np.empty((rows if keep_act else min(rows, MLP_ROWS), h), dtype=x2.dtype)
+    for lo in range(0, rows, MLP_ROWS):
+        hi = min(lo + MLP_ROWS, rows)
+        p = pre[lo:hi] if keep else pre[:hi - lo]
+        a = act[lo:hi] if keep_act else act[:hi - lo]
+        np.matmul(x2[lo:hi], w1.data, out=p)
+        p += b1.data
+        _gelu(p.reshape(-1), a.reshape(-1), cdf[lo:hi].reshape(-1) if keep else None)
+        np.matmul(a, w2.data, out=y[lo:hi])
+        y[lo:hi] += b2.data
+    if not keep_act:
+        act = None  # one block of scratch; the adjoint reads `act` only when w2 trains
+    out = _out(y.reshape(x.shape[:-1] + (n,)), requires_grad)
+
+    def adjoint(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, n)
+        if b2.requires_grad:
+            accumulate_grad(b2, g2.sum(axis=0))
+        if w2.requires_grad:
+            accumulate_grad(w2, act.T @ g2)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        dh = g2 @ w2.data.T
+        for lo in range(0, rows, MLP_ROWS):
+            dh[lo:lo + MLP_ROWS] *= _gelu_slope(pre[lo:lo + MLP_ROWS], cdf[lo:lo + MLP_ROWS])
+        if w1.requires_grad:
+            accumulate_grad(w1, x2.T @ dh)
+        if b1.requires_grad:
+            accumulate_grad(b1, dh.sum(axis=0))
+        if x.requires_grad:
+            accumulate_grad(x, (dh @ w1.data.T).reshape(x.shape))
+
+    record_operation("mlp", (x, w1, b1, w2, b2), out, adjoint)
     return out
 
 

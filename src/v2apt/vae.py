@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import tensor as T
 from .backbone import Params
@@ -73,8 +72,8 @@ def encode(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> LatentD
     """GELU-hidden MLP to 2z values, split into mu and clamped logvar."""
     if x.shape[-1] != cfg.dim:
         raise ShapeError(f"encoder input width {x.shape[-1]} does not match d={cfg.dim}")
-    h = T.gelu(T.linear(x, params["vae.enc.w1"], params["vae.enc.b1"]))
-    both = T.linear(h, params["vae.enc.w2"], params["vae.enc.b2"])
+    both = T.mlp(x, params["vae.enc.w1"], params["vae.enc.b1"],
+                 params["vae.enc.w2"], params["vae.enc.b2"])
     z = cfg.latent_dim
     mu = T.slice_axis(both, -1, 0, z)
     logvar = T.clamp(T.slice_axis(both, -1, z, 2 * z), LOGVAR_LO, LOGVAR_HI)
@@ -108,8 +107,8 @@ def decode(z: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> list[Te
     """Latent draw -> N instance prompt blocks of k_inst x d, layer-major."""
     if z.shape[-1] != cfg.latent_dim:
         raise ShapeError(f"decoder input width {z.shape[-1]} does not match z={cfg.latent_dim}")
-    h = T.gelu(T.linear(z, params["vae.dec.w1"], params["vae.dec.b1"]))
-    flat = T.linear(h, params["vae.dec.w2"], params["vae.dec.b2"])
+    flat = T.mlp(z, params["vae.dec.w1"], params["vae.dec.b1"],
+                 params["vae.dec.w2"], params["vae.dec.b2"])
     k = cfg.prompt_inst
     rows = flat.reshape(*z.shape[:-1], cfg.depth * k, cfg.dim)
     return [T.slice_axis(rows, -2, i * k, (i + 1) * k) for i in range(cfg.depth)]
@@ -140,6 +139,8 @@ def kl_monte_carlo(mu: np.ndarray, logvar: np.ndarray, n_samples: int, seed: int
     sound because log q - log p of a diagonal Gaussian is a sum of
     per-dimension terms. The integrand itself never touches the closed form.
     """
+    from scipy.special import ndtri  # here, so that float32 runs never load scipy.special
+
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     logvar = np.asarray(logvar, dtype=np.float64).reshape(-1)
     sigma = np.exp(0.5 * logvar)

@@ -229,7 +229,7 @@ def test_fused_layer_matches_unfused_float32(frozen):
     np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-5)
 
 
-def test_fused_layer_records_twelve_primitives():
+def test_fused_layer_records_ten_primitives():
     cfg, params = make()
     B.freeze_backbone(params)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 5, cfg.dim)), requires_grad=True)
@@ -237,7 +237,7 @@ def test_fused_layer_records_twelve_primitives():
         B.encoder_layer_forward(0, x, params, cfg)
     assert [r.op for r in tape.records] == [
         "layer_norm", "linear", "linear", "linear", "attention", "linear", "add",
-        "layer_norm", "linear", "gelu", "linear", "add",
+        "layer_norm", "mlp", "add",
     ]
 
 
@@ -250,7 +250,7 @@ def test_pruned_layer_records_slices_before_the_query_projection():
     assert y.shape == (2, 1, cfg.dim)
     assert [r.op for r in tape.records] == [
         "layer_norm", "linear", "linear", "slice", "slice", "linear", "attention", "linear",
-        "add", "layer_norm", "linear", "gelu", "linear", "add",
+        "add", "layer_norm", "mlp", "add",
     ]
 
 
@@ -312,18 +312,18 @@ def _record_ops(rows):
 
 
 def test_prompted_layer_records_one_concat_and_one_slice():
-    # the context concat, the 12 block records, and one slice of the normed
+    # the context concat, the 10 block records, and one slice of the normed
     # context to the carried rows before the query projection
     assert _record_ops(rows=None) == [
         "concat", "layer_norm", "linear", "linear", "slice", "linear", "attention", "linear",
-        "add", "layer_norm", "linear", "gelu", "linear", "add",
+        "add", "layer_norm", "mlp", "add",
     ]
 
 
 def test_prompted_last_layer_records_two_slices():
     assert _record_ops(rows=1) == [
         "concat", "layer_norm", "linear", "linear", "slice", "slice", "linear", "attention",
-        "linear", "add", "layer_norm", "linear", "gelu", "linear", "add",
+        "linear", "add", "layer_norm", "mlp", "add",
     ]
 
 

@@ -234,3 +234,23 @@ def test_resumed_checkpoint_saves_identically(tmp_path):
     C.save_checkpoint(C.snapshot(b2.model, run2, b2.optimizer, b2.step), pb)
 
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_a_step_after_restore_optimizer_leaves_the_checkpoint_moments_unchanged(tmp_path):
+    # the restored optimizer shares the loaded arrays; AdamW.step must replace
+    # its moments, never write into them
+    ds = dataset()
+    first = TR.Trainer(tuned(), run_cfg(steps=4), ds)
+    first.train_step()
+    p = tmp_path / "one.v2ap"
+    C.save_checkpoint(C.snapshot(first.model, first.run, first.optimizer, first.step), p)
+    ck = C.load_checkpoint(p)
+    saved = {name: (m.copy(), ck.optimizer.v[name].copy()) for name, m in ck.optimizer.m.items()}
+    opt = C.restore_optimizer(ck)
+    model, run = C.restore_model(ck)
+    TR.Trainer(model, run, ds, step=ck.step, optimizer=opt).train_step()
+    assert opt.t == ck.optimizer.t + 1
+    assert saved.keys() == opt.m.keys()
+    for name, (m, v) in saved.items():
+        assert np.array_equal(ck.optimizer.m[name], m) and np.array_equal(ck.optimizer.v[name], v)
+        assert not np.array_equal(opt.m[name], m), name

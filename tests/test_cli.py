@@ -287,3 +287,41 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert proc.returncode == 0, proc.stderr
     # mapped afresh, each array would fault in its 816 pages again
     assert int(proc.stdout.split()[-1]) < 100
+
+
+def _fresh_process(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_float32_run_never_loads_scipy_special(tmp_path):
+    # a fresh process: pytest and the other tests load scipy.special here
+    data, ckpt = str(tmp_path / "d.v2ds"), str(tmp_path / "p.v2ap")
+    out = _fresh_process(f"""
+import sys
+from v2apt.cli import main
+assert main(["gen-data", "--preset", "shift-B", "--out", {data!r}]) == 0
+assert main(["pretrain", "--data", {data!r}, "--out", {ckpt!r}, "--steps", "2",
+             "--batch-size", "16"]) == 0
+print("scipy.special" in sys.modules)
+""")
+    assert "pretrain: 2 steps" in out
+    assert out.split()[-1] == "False"
+
+
+def test_float64_paths_import_scipy_special_where_they_run():
+    out = _fresh_process("""
+import sys
+import numpy as np
+from v2apt import tensor as T
+from v2apt.vae import kl_monte_carlo
+assert "scipy.special" not in sys.modules
+with T.float64_mode():
+    y = T.gelu(T.Tensor(np.array([-1.0, 0.0, 2.0]))).data
+assert y.dtype == np.float64 and abs(y[2] - 1.9544997361036416) < 1e-15, y
+kl = kl_monte_carlo(np.zeros(2), np.zeros(2), n_samples=1000)
+assert abs(kl) < 1e-12, kl
+print("scipy.special" in sys.modules)
+""")
+    assert out.split()[-1] == "True"

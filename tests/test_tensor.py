@@ -1,5 +1,7 @@
 """Unit tests for the tape-based autodiff core."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,6 +398,24 @@ def test_unreached_leaf_gets_zero_grad():
     np.testing.assert_array_equal(x.grad, np.ones(3, dtype=np.float32))
 
 
+def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
+    with Tape() as tape:
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        w = Tensor(np.array([0.5, 0.5, 0.5]))  # a frozen leaf
+        dead = Tensor(np.ones(2), requires_grad=True)
+        dead_mid = dead * 5.0  # recorded but disconnected from the loss
+        mid = T.gelu(x * w)
+        loss = (mid * mid).sum()
+        tape.backward(loss)
+    assert len(tape.records) == 5  # the tape itself stays whole
+    for t in (mid, dead_mid):
+        assert t.grad is None
+    np.testing.assert_array_equal(loss.grad, np.float32(1.0))
+    assert w.grad is None
+    np.testing.assert_array_equal(dead.grad, np.zeros(2, dtype=np.float32))
+    assert x.grad is not None and np.all(x.grad != 0)
+
+
 def test_grad_accumulates_across_fanout():
     with Tape() as tape:
         x = Tensor(np.array([2.0]), requires_grad=True)
@@ -614,7 +634,87 @@ def test_first_gradient_write_is_an_owned_copy():
 
 
 # ---------------------------------------------------------------------------
+# fused MLP: linear -> gelu -> linear in row blocks
+
+
+def _mlp_inputs(rows, k=4, h=6, n=5, seed=7):
+    g = np.random.default_rng(seed)
+    shapes = ((rows, k), (k, h), (h,), (h, n), (n,))
+    return [Tensor(g.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+def test_mlp_grads_all_trainable_and_each_input_frozen():
+    with float64_mode():
+        inputs = _mlp_inputs(6)
+        inputs[0] = Tensor(inputs[0].data.reshape(2, 3, 4), requires_grad=True)
+        names = ("x", "w1", "b1", "w2", "b2")
+        probe = Tensor(rng().standard_normal((2, 3, 5)))
+        loss = lambda: (T.mlp(*inputs) * probe).sum()  # noqa: E731
+        check(loss, dict(zip(names, inputs)))
+        for frozen in (*inputs, inputs[1:]):  # each input alone, then every weight
+            frozen = frozen if isinstance(frozen, list) else [frozen]
+            for t in inputs:
+                t.requires_grad = not any(t is f for f in frozen)
+                t.grad = None
+            check(loss, {n: t for n, t in zip(names, inputs) if t.requires_grad})
+            _frozen_grads_stay_none(frozen)
+
+
+def _mlp_output_and_grads(fused, inputs, probe):
+    x, w1, b1, w2, b2 = inputs
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        if fused:
+            y = T.mlp(x, w1, b1, w2, b2)
+        else:
+            y = T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+        tape.backward((y * probe).sum())
+    return [y.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("rows", [1, T.MLP_ROWS - 1, T.MLP_ROWS, 2 * T.MLP_ROWS + 7])
+@pytest.mark.parametrize("float64", [False, True])
+def test_mlp_equals_linear_gelu_linear_bit_for_bit(rows, float64):
+    # the encoder's shape; the blocks cover every row count around MLP_ROWS
+    with float64_mode() if float64 else contextlib.nullcontext():
+        inputs = _mlp_inputs(rows, k=48, h=192, n=48)
+        probe = Tensor(rng().standard_normal((rows, 48)))
+        fused = _mlp_output_and_grads(True, inputs, probe)
+        unfused = _mlp_output_and_grads(False, inputs, probe)
+        inference = T.mlp(*inputs).data  # no tape: nothing is kept
+    assert fused[0].dtype == (np.float64 if float64 else np.float32)
+    for name, a, b in zip(("y", "x", "w1", "b1", "w2", "b2"), fused, unfused):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    np.testing.assert_array_equal(inference, fused[0])
+
+
+def test_mlp_shape_errors():
+    x, w1, b1, w2, b2 = _mlp_inputs(3)
+    with pytest.raises(errors.ShapeError, match="weights"):
+        T.mlp(x, w2, b1, w2, b2)
+    with pytest.raises(errors.ShapeError, match="weights"):
+        T.mlp(x, w1, b1, w1, b2)
+    with pytest.raises(errors.ShapeError, match="biases"):
+        T.mlp(x, w1, b2, w2, b2)
+    with pytest.raises(errors.ShapeError, match="biases"):
+        T.mlp(x, w1, b1, w2, b1)
+
+
+# ---------------------------------------------------------------------------
 # float32 GELU: interpolated Gaussian tail, computed in blocks
+
+
+def test_tail_table_equals_the_scipy_ndtr_table():
+    # the table is built with math.erfc; scipy's ndtr is the oracle
+    from scipy.special import ndtr
+
+    a = np.arange(round(T._TAIL_END / T._TAIL_STEP) + 2) * T._TAIL_STEP
+    tail = ndtr(-a)
+    tail[-2:] = 0.0
+    assert np.array_equal(T._TAIL, tail[:-1].astype(np.float32))
+    assert np.array_equal(T._TAIL_SLOPE, np.diff(tail).astype(np.float32))
+    assert T._TAIL.dtype == T._TAIL_SLOPE.dtype == np.float32
 
 
 def _gelu_reference(x):
