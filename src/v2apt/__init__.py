@@ -45,7 +45,6 @@ from .config import (
     ModelConfig,
     RunConfig,
     config_from_text,
-    config_hash,
     config_to_text,
     default_config,
     tiny_config,
@@ -113,7 +112,6 @@ __all__ = [
     "ValidationError",
     "compare_mean_similarity",
     "config_from_text",
-    "config_hash",
     "config_to_text",
     "cosine_similarity_map",
     "default_config",

@@ -8,13 +8,13 @@ affine [-1, 1] -> [0, 255] byte mapping (round half up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ShapeError, ValidationError
-from .model import PromptedClassifier
+from .model import EVAL_CHUNK, PromptedClassifier
 from .vae import kl_divergence
 
 _FORMATS = ("csv", "pgm")
@@ -24,7 +24,6 @@ _FORMATS = ("csv", "pgm")
 class SimMap:
     values: np.ndarray  # (k, num_patches), entries in [-1, 1]
     layer: int = -1
-    meta: dict = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,7 +93,6 @@ def model_similarity_map(
     prompts_in, patches_out = out.captures[layer]
     sim = cosine_similarity_map(prompts_in[0], patches_out[0])
     sim.layer = layer
-    sim.meta = {"index": index}
     return sim
 
 
@@ -108,15 +106,15 @@ class LatentStats:
     ACTIVE_FLOOR = 0.01
 
 
-def latent_stats(model: PromptedClassifier, ds: Dataset, chunk: int = 256) -> LatentStats:
+def latent_stats(model: PromptedClassifier, ds: Dataset) -> LatentStats:
     """Eval-mode posterior statistics over a dataset; collapse diagnostic."""
     if not model.has_generator:
         raise ValidationError("model has no latent generator")
     if len(ds) == 0:
         raise ValidationError("empty dataset")
     mus, kls = [], []
-    for lo in range(0, len(ds), chunk):
-        out = model.forward(ds.images[lo:lo + chunk], train=False)
+    for lo in range(0, len(ds), EVAL_CHUNK):
+        out = model.forward(ds.images[lo:lo + EVAL_CHUNK], train=False)
         mus.append(out.latent.mu.data.astype(np.float64))
         kls.append(float(out.kl.item()) * out.latent.mu.shape[0])
     mu = np.concatenate(mus)

@@ -34,23 +34,11 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 @dataclass
-class OptimizerSnapshot:
-    lr: float
-    weight_decay: float
-    beta1: float
-    beta2: float
-    eps: float
-    t: int
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
 class Checkpoint:
     config_text: str
     tensors: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
-    optimizer: OptimizerSnapshot | None = None
+    optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
     rng_cursors: dict[str, int] = field(default_factory=dict)
     step: int = 0
 
@@ -137,9 +125,15 @@ class _Reader:
         vals = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
         return vals[0] if len(vals) == 1 else vals
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not UTF-8 (byte {e.start} of {n})") from None
+
     def name(self, what: str) -> str:
         n = self.unpack("<H", f"{what} name length")
-        return str(self.take(n, f"{what} name"), "utf-8")
+        return self.text(n, f"{what} name")
 
     def array(self, what: str) -> np.ndarray:
         tag, rank = self.unpack("<BB", f"{what} dtype/rank")
@@ -171,7 +165,7 @@ def load_checkpoint(path) -> Checkpoint:
     r = _Reader(body)
     r.at = 8
     text_len = r.unpack("<I", "config length")
-    text = str(r.take(text_len, "config text"), "utf-8")
+    text = r.text(text_len, "config text")
     if r.unpack("<I", "config hash") != zlib.crc32(text.encode("utf-8")):
         raise FormatError("config hash mismatch")
 
@@ -186,11 +180,13 @@ def load_checkpoint(path) -> Checkpoint:
     if r.unpack("<B", "optimizer flag"):
         lr, wd, b1, b2, eps = r.unpack("<5d", "optimizer hyperparameters")
         t = r.unpack("<Q", "optimizer step")
-        optimizer = OptimizerSnapshot(lr, wd, b1, b2, eps, t)
+        m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
             name = r.name("moment")
-            optimizer.m[name] = r.array(f"first moment {name!r}")
-            optimizer.v[name] = r.array(f"second moment {name!r}")
+            m[name] = r.array(f"first moment {name!r}")
+            v[name] = r.array(f"second moment {name!r}")
+        optimizer = AdamW(sorted(m), lr, wd, b1, b2, eps)
+        optimizer.t, optimizer.m, optimizer.v = t, m, v
 
     cursors = {}
     for _ in range(r.unpack("<I", "cursor count")):
@@ -207,6 +203,17 @@ def load_checkpoint(path) -> Checkpoint:
 # model/trainer bridging
 
 
+def _copy_optimizer(o: AdamW) -> AdamW:
+    """`o` with its own moment dicts, so stepping one never changes the other.
+
+    The moment arrays are shared uncopied: AdamW.step replaces its moments
+    rather than writing into them.
+    """
+    opt = AdamW(o.names, o.lr, o.weight_decay, o.beta1, o.beta2, o.eps)
+    opt.t, opt.m, opt.v = o.t, dict(o.m), dict(o.v)
+    return opt
+
+
 def snapshot(
     model: PromptedClassifier,
     run: RunConfig,
@@ -215,12 +222,9 @@ def snapshot(
 ) -> Checkpoint:
     opt = None
     if optimizer is not None:
-        opt = OptimizerSnapshot(
-            optimizer.lr, optimizer.weight_decay, optimizer.beta1, optimizer.beta2,
-            optimizer.eps, optimizer.t, dict(optimizer.m), dict(optimizer.v),
-        )
+        opt = _copy_optimizer(optimizer)
         # moments exist only for parameters touched by a step; fill the rest
-        for name in optimizer.names:
+        for name in opt.names:
             if name not in opt.m:
                 opt.m[name] = np.zeros_like(model.params[name].data)
                 opt.v[name] = np.zeros_like(model.params[name].data)
@@ -267,12 +271,4 @@ def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
 
 
 def restore_optimizer(ck: Checkpoint) -> AdamW | None:
-    if ck.optimizer is None:
-        return None
-    o = ck.optimizer
-    opt = AdamW(sorted(o.m), o.lr, o.weight_decay, o.beta1, o.beta2, o.eps)
-    opt.t = o.t
-    # the checkpoint's arrays are already owned, and AdamW.step replaces its
-    # moments rather than writing into them, so they are shared uncopied
-    opt.m, opt.v = dict(o.m), dict(o.v)
-    return opt
+    return None if ck.optimizer is None else _copy_optimizer(ck.optimizer)

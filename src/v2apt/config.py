@@ -7,7 +7,6 @@ point: ints print in decimal, floats via repr (shortest round-trip form).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -51,15 +50,6 @@ class ModelConfig:
     @property
     def prompt_dom(self) -> int:
         return self.prompt_len - self.prompt_inst
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
-    def seq_len(self) -> int:
-        """Encoder context length: CLS + patches + prompts."""
-        return 1 + self.num_patches + self.prompt_len
 
     def validate(self) -> "ModelConfig":
         if self.image_size <= 0 or self.image_size % self.patch_size != 0:
@@ -136,19 +126,11 @@ _OVERLAP = set(_MODEL_FIELDS) & set(_RUN_FIELDS)
 assert not _OVERLAP, f"config field names collide: {_OVERLAP}"
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):  # bool is an int subclass, keep the guard first
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return repr(v)
-    return str(v)
-
-
 def config_to_text(model: ModelConfig, run: RunConfig) -> str:
     """Canonical flat text form: one sorted "key = value" line per field."""
     items = {f.name: getattr(model, f.name) for f in fields(model)}
     items.update({f.name: getattr(run, f.name) for f in fields(run)})
-    return "".join(f"{k} = {_format_value(items[k])}\n" for k in sorted(items))
+    return "".join(f"{k} = {items[k]!r}\n" for k in sorted(items))
 
 
 def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:
@@ -179,10 +161,6 @@ def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:
     model.validate()
     run.validate()
     return model, run
-
-
-def config_hash(model: ModelConfig, run: RunConfig) -> int:
-    return zlib.crc32(config_to_text(model, run).encode("utf-8"))
 
 
 def tiny_config() -> ModelConfig:

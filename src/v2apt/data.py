@@ -33,7 +33,6 @@ _PLACEMENTS = 4  # deterministic within-class variants
 class TaskSpec:
     """Procedural task description; all shift rates live in [0, 1]."""
 
-    generator: str = "patterns"
     classes: int = 3
     per_class: int = 64
     noise: float = 0.0
@@ -44,8 +43,6 @@ class TaskSpec:
     channels: int = 1
 
     def validate(self) -> "TaskSpec":
-        if self.generator != "patterns":
-            raise ValidationError(f"unknown generator {self.generator!r}")
         if self.classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.classes}")
         if self.per_class < 1:
@@ -77,6 +74,8 @@ class Dataset:
     def validate(self) -> "Dataset":
         if self.images.ndim != 4:
             raise ValidationError(f"images must be rank 4, got shape {self.images.shape}")
+        if 0 in self.images.shape[1:]:
+            raise ValidationError(f"empty image extent in shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise ValidationError(
                 f"labels shape {self.labels.shape} does not match {self.images.shape[0]} images"
@@ -164,7 +163,7 @@ def generate(spec: TaskSpec, seed: int) -> Dataset:
             labels[row] = cls
             row += 1
     desc = (
-        f"{spec.generator} C={spec.classes} per_class={spec.per_class} noise={spec.noise} "
+        f"patterns C={spec.classes} per_class={spec.per_class} noise={spec.noise} "
         f"brightness={spec.brightness} frequency={spec.frequency} occlusion={spec.occlusion} seed={seed}"
     )
     return Dataset(images, labels, spec.classes, seed, desc).validate()

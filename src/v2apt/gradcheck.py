@@ -126,15 +126,14 @@ def finite_diff_check(
     return report
 
 
-def full_model_check(cfg=None, seed: int = 0, batch: int = 2,
-                     beta: float = 1e-3, eps: float = 1e-5,
-                     tol: float = 1e-4) -> CheckReport:
+def full_model_check(cfg=None, seed: int = 0, tol: float = 1e-4) -> CheckReport:
     """Check every trainable parameter of a prompted model end to end.
 
-    Builds the model, its adapters, and one synthetic batch entirely in
-    64-bit mode so the difference quotient is trustworthy, fixes the
-    reparameterization noise, and differentiates the combined task plus
-    KL objective with respect to prompts, generator weights, and head.
+    Builds the model, its adapters, and one synthetic two-image batch
+    entirely in 64-bit mode so the difference quotient is trustworthy, fixes
+    the reparameterization noise, and differentiates the combined task plus
+    KL objective (KL weight 1e-3) with respect to prompts, generator weights,
+    and head.
     """
     from .config import tiny_config
     from .model import PromptedClassifier
@@ -149,6 +148,7 @@ def full_model_check(cfg=None, seed: int = 0, batch: int = 2,
         model.install_adapters(streams)
         model.freeze()
         g = streams.generator("gradcheck")
+        batch = 2
         images = g.random((batch, cfg.image_size, cfg.image_size, cfg.in_channels))
         labels = g.integers(0, cfg.num_classes, size=batch)
         eps_draw = None
@@ -157,7 +157,7 @@ def full_model_check(cfg=None, seed: int = 0, batch: int = 2,
 
         def build_loss() -> Tensor:
             out = model.forward(images, train=True, eps=eps_draw)
-            loss, _ = total_loss(out.logits, labels, out.kl, beta)
+            loss, _ = total_loss(out.logits, labels, out.kl, 1e-3)
             return loss
 
-        return finite_diff_check(build_loss, model.trainables(), eps=eps, tol=tol)
+        return finite_diff_check(build_loss, model.trainables(), tol=tol)

@@ -29,6 +29,9 @@ from .tensor import Tensor, expand_leading, slice_axis
 
 Params = dict[str, Tensor]
 
+# images per eval-mode forward in `predict` and `analysis.latent_stats`
+EVAL_CHUNK = 256
+
 
 @dataclass
 class ForwardResult:
@@ -179,10 +182,10 @@ class PromptedClassifier:
         logits = B.classify(cls_out, self.params)
         return ForwardResult(logits=logits, kl=kl, latent=dist, captures=captures)
 
-    def predict(self, images: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def predict(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode class predictions; ties resolve to the lowest index."""
         out = []
-        for lo in range(0, images.shape[0], chunk):
-            logits = self.forward(images[lo:lo + chunk], train=False).logits.data
+        for lo in range(0, images.shape[0], EVAL_CHUNK):
+            logits = self.forward(images[lo:lo + EVAL_CHUNK], train=False).logits.data
             out.append(np.argmax(logits, axis=1))
         return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)

@@ -82,9 +82,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return _out(self.data, False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -566,18 +563,13 @@ def _tail_table() -> tuple[np.ndarray, np.ndarray]:
 
 _TAIL, _TAIL_SLOPE = _tail_table()
 
-# The float32 GELU forward works through its input in blocks of this many
-# elements, so one block's temporaries (about 400 KiB) stay in a core's L2
-# cache instead of streaming the whole activation through memory once per
-# operation. Unblocked, a 256-image eval chunk took 1.7x as long.
-GELU_BLOCK = 1 << 14
-
 
 def _gelu(x: np.ndarray, y: np.ndarray, cdf: np.ndarray | None) -> None:
     """GELU of the flat array `x` into `y`, and Phi(x) into `cdf` unless it is None.
 
     Float64 takes erf from scipy, the reference. Float32 reads the tail table
-    above, GELU_BLOCK elements at a time.
+    above. `mlp` calls it one row block at a time, which keeps these
+    temporaries cache-sized.
     """
     if x.dtype == np.float64:
         from scipy.special import erf
@@ -587,30 +579,24 @@ def _gelu(x: np.ndarray, y: np.ndarray, cdf: np.ndarray | None) -> None:
         if cdf is not None:
             cdf[...] = c
         return
-    m = min(GELU_BLOCK, x.size)
-    absx, pos, low, tail = np.empty((4, m), dtype=np.float32)
-    idx = np.empty(m, dtype=np.intp)
-    for lo in range(0, x.size, GELU_BLOCK):
-        hi = min(lo + GELU_BLOCK, x.size)
-        n = hi - lo
-        xb, ab, u, w, e, i = x[lo:hi], absx[:n], pos[:n], low[:n], tail[:n], idx[:n]
-        np.abs(xb, out=ab)
-        np.minimum(ab, _TAIL_END, out=ab)
-        np.multiply(ab, 1.0 / _TAIL_STEP, out=u)
-        np.trunc(u, out=w)
-        np.copyto(i, w, casting="unsafe")
-        u -= w  # position between table entries
-        np.take(_TAIL_SLOPE, i, out=e, mode="clip")
-        e *= u
-        e += np.take(_TAIL, i, out=w, mode="clip")
-        ab *= e
-        np.maximum(xb, 0.0, out=y[lo:hi])
-        y[lo:hi] -= ab
-        if cdf is not None:  # Phi(x): e below 0, 1 - e above
-            c = cdf[lo:hi]
-            np.subtract(0.5, e, out=c)
-            np.copysign(c, xb, out=c)
-            c += 0.5
+    absx, u, w, e = np.empty((4, x.size), dtype=np.float32)
+    i = np.empty(x.size, dtype=np.intp)
+    np.abs(x, out=absx)
+    np.minimum(absx, _TAIL_END, out=absx)
+    np.multiply(absx, 1.0 / _TAIL_STEP, out=u)
+    np.trunc(u, out=w)
+    np.copyto(i, w, casting="unsafe")
+    u -= w  # position between table entries
+    np.take(_TAIL_SLOPE, i, out=e, mode="clip")
+    e *= u
+    e += np.take(_TAIL, i, out=w, mode="clip")
+    absx *= e
+    np.maximum(x, 0.0, out=y)
+    y -= absx
+    if cdf is not None:  # Phi(x): e below 0, 1 - e above
+        np.subtract(0.5, e, out=cdf)
+        np.copysign(cdf, x, out=cdf)
+        cdf += 0.5
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -623,8 +609,8 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit.
 
     Float64 mode takes erf from scipy, the reference. Float32 mode uses the
-    tail table above, block by block; it stays within 5e-7 of the float64
-    reference and is exactly 0 at 0.
+    tail table above; it stays within 5e-7 of the float64 reference and is
+    exactly 0 at 0.
     """
     a = as_tensor(a)
     x = np.ascontiguousarray(a.data).reshape(-1)

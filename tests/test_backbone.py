@@ -177,7 +177,7 @@ def _unfused_encoder_layer(layer_idx, tokens, params, cfg):
     """The encoder block as composed before the fused primitives: the reference."""
     base = f"backbone.layers.{layer_idx}"
     b, s, d = tokens.shape
-    nh, hd = cfg.heads, cfg.head_dim
+    nh, hd = cfg.heads, cfg.dim // cfg.heads
 
     def affine_norm(x, g, beta):
         return T.layer_norm(x, np.ones(d), np.zeros(d)) * g + beta
@@ -202,8 +202,9 @@ def _layer_output_and_input_grad(layer_fn, frozen, batch=8):
     if frozen:
         B.freeze_backbone(params)
     g = np.random.default_rng(6)
-    x = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)), requires_grad=True)
-    probe = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)))
+    seq = 1 + cfg.num_patches + cfg.prompt_len  # CLS, patches, prompts
+    x = Tensor(g.standard_normal((batch, seq, cfg.dim)), requires_grad=True)
+    probe = Tensor(g.standard_normal((batch, seq, cfg.dim)))
     with Tape() as tape:
         y = layer_fn(1, x, params, cfg)
         tape.backward((y * probe).sum())
@@ -258,7 +259,8 @@ def _row0_output_and_input_grad(rows, batch=8):
     cfg, params = make(default_config(), seed=5)
     B.freeze_backbone(params)
     g = np.random.default_rng(6)
-    x = Tensor(g.standard_normal((batch, cfg.seq_len, cfg.dim)), requires_grad=True)
+    seq = 1 + cfg.num_patches + cfg.prompt_len  # CLS, patches, prompts
+    x = Tensor(g.standard_normal((batch, seq, cfg.dim)), requires_grad=True)
     probe = Tensor(g.standard_normal((batch, 1, cfg.dim)))
     with Tape() as tape:
         y = T.slice_axis(B.encoder_layer_forward(1, x, params, cfg, rows=rows), -2, 0, 1)

@@ -17,11 +17,10 @@ from v2apt.rng import SeededStreams
 
 def small_checkpoint() -> C.Checkpoint:
     g = np.random.default_rng(0)
-    opt = C.OptimizerSnapshot(
-        lr=1e-3, weight_decay=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, t=7,
-        m={"head.w": g.standard_normal((4, 2)).astype(np.float32)},
-        v={"head.w": g.random((4, 2)).astype(np.float32)},
-    )
+    opt = TR.AdamW(["head.w"], lr=1e-3, weight_decay=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt.t = 7
+    opt.m = {"head.w": g.standard_normal((4, 2)).astype(np.float32)}
+    opt.v = {"head.w": g.random((4, 2)).astype(np.float32)}
     return C.Checkpoint(
         config_text=config_to_text(tiny_config(), RunConfig()),
         tensors={

@@ -7,15 +7,19 @@ and captured output without subprocess overhead; one test exercises the real
 
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
+from v2apt import checkpoint as C
 from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
+from v2apt.data import DATA_MAGIC, DATA_VERSION, TaskSpec, generate, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +176,101 @@ def test_checkpoint_disagreeing_with_its_config_exits_3(workdir, tmp_path, capsy
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "t.v2ap").exists()
+
+
+def _reseal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _eval(ckpt, data) -> int:
+    return main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+
+
+@pytest.mark.parametrize("field", ["config text", "tensor name"])
+def test_non_utf8_checkpoint_text_exits_3_naming_the_field(workdir, tmp_path, capsys, field):
+    blob = bytearray((workdir / "tuned.v2ap").read_bytes())
+    text_len = struct.unpack_from("<I", blob, 8)[0]
+    if field == "config text":  # text from offset 12, then its own CRC
+        blob[12] = 0xFF
+        struct.pack_into("<I", blob, 12 + text_len, zlib.crc32(blob[12:12 + text_len]))
+    else:  # after the text CRC: tensor count, the first name's length, its first byte
+        blob[12 + text_len + 4 + 4 + 2] = 0xFF
+    bad = tmp_path / "bad.v2ap"
+    bad.write_bytes(_reseal(bytes(blob[:-4])))
+    capsys.readouterr()
+    assert _eval(bad, workdir / "easy.v2ds") == 3
+    assert f"{field} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, w, c_in", [(0, 0, 1), (0, 16, 1), (16, 0, 1), (16, 16, 0)])
+def test_dataset_with_an_empty_image_extent_exits_3(workdir, tmp_path, capsys, h, w, c_in):
+    # one image of no pixels: the file length agrees with its header
+    header = DATA_MAGIC + struct.pack("<IIIIIII", DATA_VERSION, 1, h, w, c_in, 3, 0)
+    bad = tmp_path / "empty.v2ds"
+    bad.write_bytes(_reseal(header + struct.pack("<I", 0)))
+    capsys.readouterr()
+    assert _eval(workdir / "tuned.v2ap", bad) == 3
+    assert "empty image extent" in capsys.readouterr().err
+
+
+def _checkpoint_fields(path) -> list[tuple[int, int]]:
+    """(offset, length) of every field of a .v2ap before its footer."""
+    fields = [(0, 4), (4, 4)]  # magic and version, checked before the reader starts
+    take = C._Reader.take
+
+    def recording(self, n, what):
+        fields.append((self.at, n))
+        return take(self, n, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C._Reader, "take", recording)
+        load_checkpoint(path)
+    return fields
+
+
+def _dataset_fields(path) -> list[tuple[int, int]]:
+    """(offset, length) of every field of a .v2ds before its footer."""
+    b, h, w, c_in = struct.unpack_from("<4I", path.read_bytes(), 8)
+    pixels = 4 * b * h * w * c_in
+    return [(0, 4)] + [(4 + 4 * i, 4) for i in range(7)] + [(32, pixels), (32 + pixels, 4 * b)]
+
+
+def _damaged_copies(blob: bytes, fields):
+    """(label, bytes): cut at every field boundary, as is and with the footer
+    re-sealed; one byte flipped inside each field, re-sealed; one byte appended."""
+    body = blob[:-4]
+    for at in [at for at, _ in fields] + [len(body)]:
+        yield f"cut at {at}", blob[:at]
+        yield f"cut at {at}, re-sealed", _reseal(body[:at])
+    for at, n in fields:
+        flipped = bytearray(body)
+        flipped[at + n // 2] ^= 0x80
+        yield f"byte {at + n // 2} flipped, re-sealed", _reseal(bytes(flipped))
+    yield "byte appended", blob + b"\0"
+    yield "byte appended, re-sealed", _reseal(body + b"\0")
+
+
+def test_damaged_files_exit_with_a_code_never_a_traceback(workdir, tmp_path):
+    ckpt, data = workdir / "tuned.v2ap", tmp_path / "small.v2ds"
+    save_dataset(generate(TaskSpec(classes=3, per_class=2), seed=0), data)
+    damaged_ckpt, damaged_data = tmp_path / "damaged.v2ap", tmp_path / "damaged.v2ds"
+    problems, runs = [], 0
+    for good, fields, damaged, argv in (
+        (ckpt, _checkpoint_fields(ckpt), damaged_ckpt, (damaged_ckpt, data)),
+        (data, _dataset_fields(data), damaged_data, (ckpt, damaged_data)),
+    ):
+        for label, blob in _damaged_copies(good.read_bytes(), fields):
+            damaged.write_bytes(blob)
+            runs += 1
+            try:
+                code = _eval(*argv)
+            except Exception as e:  # the defect under test: report every case
+                problems.append(f"{good.name} {label}: {e!r}")
+            else:
+                if code not in (0, 2, 3, 4):
+                    problems.append(f"{good.name} {label}: exit {code}")
+    assert runs > 100
+    assert not problems, "\n".join(problems)
 
 
 def test_tune_evaluates_the_test_split_once_at_its_last_step(workdir, tmp_path, capsys,

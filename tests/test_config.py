@@ -6,7 +6,6 @@ from v2apt.config import (
     ModelConfig,
     RunConfig,
     config_from_text,
-    config_hash,
     config_to_text,
     default_config,
     tiny_config,
@@ -58,12 +57,6 @@ def test_comments_and_blank_lines_ignored():
     assert m.dim == 24
 
 
-def test_hash_changes_with_content():
-    base = config_hash(ModelConfig(), RunConfig())
-    assert base != config_hash(ModelConfig(dim=24, heads=2), RunConfig())
-    assert base == config_hash(ModelConfig(), RunConfig())
-
-
 def test_validation_catches_bad_geometry():
     with pytest.raises(ConfigError, match="image_size"):
         ModelConfig(image_size=15).validate()
@@ -90,4 +83,3 @@ def test_presets_are_valid():
     full = default_config().validate()
     assert (full.depth, full.dim, full.heads) == (4, 48, 3)
     assert full.prompt_inst + full.prompt_dom == full.prompt_len
-    assert full.seq_len == 1 + full.prompt_len + full.num_patches
