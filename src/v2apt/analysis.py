@@ -89,7 +89,7 @@ def model_similarity_map(
     layer = model.cfg.depth - 1 if layer is None else layer
     if not 0 <= layer < model.cfg.depth:
         raise ValidationError(f"layer {layer} out of range [0, {model.cfg.depth})")
-    out = model.forward(images[index:index + 1], train=False, capture_layers=(layer,))
+    out = model.forward(images[index:index + 1], capture_layers=(layer,))
     prompts_in, patches_out = out.captures[layer]
     sim = cosine_similarity_map(prompts_in[0], patches_out[0])
     sim.layer = layer
@@ -114,7 +114,7 @@ def latent_stats(model: PromptedClassifier, ds: Dataset) -> LatentStats:
         raise ValidationError("empty dataset")
     mus, kls = [], []
     for lo in range(0, len(ds), EVAL_CHUNK):
-        out = model.forward(ds.images[lo:lo + EVAL_CHUNK], train=False)
+        out = model.forward(ds.images[lo:lo + EVAL_CHUNK])
         mus.append(out.latent.mu.data.astype(np.float64))
         kls.append(float(out.kl.item()) * out.latent.mu.shape[0])
     mu = np.concatenate(mus)
@@ -132,16 +132,16 @@ def compare_mean_similarity(
     baseline: PromptedClassifier,
     images: np.ndarray,
     indices: list[int] | None = None,
-    layer: int | None = None,
 ) -> dict[str, float]:
-    """Mean prompt/patch similarity for the two flavors on identical inputs.
+    """Mean final-layer prompt/patch similarity for the two flavors on
+    identical inputs.
 
     Reported, not asserted: the expectation is directional only (generated
     prompts should sit closer to the patch features they steer).
     """
     idxs = list(range(images.shape[0])) if indices is None else indices
     def mean_over(model):
-        vals = [mean_similarity(model_similarity_map(model, images, i, layer)) for i in idxs]
+        vals = [mean_similarity(model_similarity_map(model, images, i)) for i in idxs]
         return float(np.mean(vals))
 
     return {

@@ -5,7 +5,8 @@ its own CRC32, sorted named tensor records (name, dtype tag, rank, extents,
 raw bytes), the freeze-mask name list, optimizer hyperparameters and moment
 buffers, named RNG cursors, the step counter, and a CRC32 footer over every
 preceding byte. Sorting all name-keyed sections makes save -> load -> save
-reproduce the file byte for byte.
+reproduce the file byte for byte. The trainer derives its streams from the
+step, so the one RNG cursor, `eps`, is written from the step and checked on load.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +22,15 @@ from . import backbone as B
 from . import prompts as P
 from . import vae as V
 from .config import ModelConfig, RunConfig, config_from_text, config_to_text
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import PromptedClassifier
 from .tensor import Tensor
 from .trainer import AdamW
 
 CKPT_MAGIC = b"V2AP"
 CKPT_VERSION = 1
+
+_CURSOR = "eps"  # the one RNG cursor, always equal to the step
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -39,7 +42,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
     optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
-    rng_cursors: dict[str, int] = field(default_factory=dict)
     step: int = 0
 
     def configs(self) -> tuple[ModelConfig, RunConfig]:
@@ -96,10 +98,9 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
             _pack_array(out, o.m[name])
             _pack_array(out, o.v[name])
 
-    out += struct.pack("<I", len(ck.rng_cursors))
-    for name in sorted(ck.rng_cursors):
-        _pack_name(out, name)
-        out += struct.pack("<Q", ck.rng_cursors[name])
+    out += struct.pack("<I", 1)
+    _pack_name(out, _CURSOR)
+    out += struct.pack("<Q", ck.step)
 
     out += struct.pack("<Q", ck.step)
     out += struct.pack("<I", zlib.crc32(bytes(out)))
@@ -179,6 +180,10 @@ def load_checkpoint(path) -> Checkpoint:
     optimizer = None
     if r.unpack("<B", "optimizer flag"):
         lr, wd, b1, b2, eps = r.unpack("<5d", "optimizer hyperparameters")
+        try:
+            RunConfig(lr=lr, weight_decay=wd, adam_beta1=b1, adam_beta2=b2, adam_eps=eps).validate()
+        except ConfigError as e:
+            raise FormatError(f"optimizer hyperparameter out of range: {e}") from None
         t = r.unpack("<Q", "optimizer step")
         m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
@@ -188,15 +193,16 @@ def load_checkpoint(path) -> Checkpoint:
         optimizer = AdamW(sorted(m), lr, wd, b1, b2, eps)
         optimizer.t, optimizer.m, optimizer.v = t, m, v
 
-    cursors = {}
-    for _ in range(r.unpack("<I", "cursor count")):
-        name = r.name("rng cursor")
-        cursors[name] = r.unpack("<Q", f"cursor {name!r}")
+    cursors = [(r.name("rng cursor"), r.unpack("<Q", "rng cursor"))
+               for _ in range(r.unpack("<I", "cursor count"))]
 
     step = r.unpack("<Q", "step")
     if r.at != len(r.blob):
         raise FormatError(f"{len(r.blob) - r.at} trailing byte(s) after step field")
-    return Checkpoint(text, tensors, frozen, optimizer, cursors, int(step))
+    if cursors != [(_CURSOR, step)]:
+        shown = ", ".join(f"{n}={c}" for n, c in cursors[:4]) + (", ..." if len(cursors) > 4 else "")
+        raise FormatError(f"rng cursors [{shown}] are not the one cursor {_CURSOR}={step}")
+    return Checkpoint(text, tensors, frozen, optimizer, int(step))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +234,11 @@ def snapshot(
             if name not in opt.m:
                 opt.m[name] = np.zeros_like(model.params[name].data)
                 opt.v[name] = np.zeros_like(model.params[name].data)
-    cursors = {"eps": step}
     return Checkpoint(
         config_text=config_to_text(model.cfg, run),
         tensors={n: p.data.copy() for n, p in model.params.items()},
         frozen=model.frozen,
         optimizer=opt,
-        rng_cursors=cursors,
         step=step,
     )
 
@@ -267,7 +271,7 @@ def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
         name: Tensor(arr, requires_grad=name not in ck.frozen)
         for name, arr in ck.tensors.items()
     }
-    return PromptedClassifier(cfg, params, ck.frozen), run
+    return PromptedClassifier(cfg, params), run
 
 
 def restore_optimizer(ck: Checkpoint) -> AdamW | None:

@@ -7,6 +7,7 @@ point: ints print in decimal, floats via repr (shortest round-trip form).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -99,18 +100,19 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # ranges are written so that NaN fails them, and bounded so that inf does
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         for name in ("adam_beta1", "adam_beta2"):
             v = getattr(self, name)
             if not 0 <= v < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.kl_beta < 0:
-            raise ConfigError(f"kl_beta must be >= 0, got {self.kl_beta}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if not 0 <= self.kl_beta < math.inf:
+            raise ConfigError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
         if not 0 < self.train_frac < 1:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
         return self

@@ -10,6 +10,7 @@ parameter of a frozen-backbone model on one fixed batch.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -130,10 +131,10 @@ def full_model_check(cfg=None, seed: int = 0, tol: float = 1e-4) -> CheckReport:
     """Check every trainable parameter of a prompted model end to end.
 
     Builds the model, its adapters, and one synthetic two-image batch
-    entirely in 64-bit mode so the difference quotient is trustworthy, fixes
-    the reparameterization noise, and differentiates the combined task plus
-    KL objective (KL weight 1e-3) with respect to prompts, generator weights,
-    and head.
+    entirely in 64-bit mode so the difference quotient is trustworthy, replays
+    one reparameterization draw in every evaluation, and differentiates the
+    combined task plus KL objective (KL weight 1e-3) with respect to prompts,
+    generator weights, and head.
     """
     from .config import tiny_config
     from .model import PromptedClassifier
@@ -151,12 +152,10 @@ def full_model_check(cfg=None, seed: int = 0, tol: float = 1e-4) -> CheckReport:
         batch = 2
         images = g.random((batch, cfg.image_size, cfg.image_size, cfg.in_channels))
         labels = g.integers(0, cfg.num_classes, size=batch)
-        eps_draw = None
-        if model.has_generator:
-            eps_draw = Tensor(g.standard_normal((batch, cfg.latent_dim)))
 
         def build_loss() -> Tensor:
-            out = model.forward(images, train=True, eps=eps_draw)
+            # every evaluation replays the same latent draw from where g stands
+            out = model.forward(images, rng=copy.deepcopy(g))
             loss, _ = total_loss(out.logits, labels, out.kl, 1e-3)
             return loss
 

@@ -45,10 +45,9 @@ class ForwardResult:
 class PromptedClassifier:
     """Parameter container plus the prompted forward pass."""
 
-    def __init__(self, cfg: ModelConfig, params: Params, frozen: frozenset[str] = frozenset()):
+    def __init__(self, cfg: ModelConfig, params: Params):
         self.cfg = cfg.validate()
         self.params = params
-        self.frozen = frozen
 
     # -- construction ------------------------------------------------------
 
@@ -92,8 +91,12 @@ class PromptedClassifier:
             self.params.update(V.init_vae(cfg, streams))
 
     def freeze(self) -> frozenset[str]:
-        self.frozen = B.freeze_backbone(self.params)
-        return self.frozen
+        return B.freeze_backbone(self.params)
+
+    @property
+    def frozen(self) -> frozenset[str]:
+        """The freeze mask: names of the parameters that take no gradient."""
+        return frozenset(n for n, p in self.params.items() if not p.requires_grad)
 
     @property
     def has_prompts(self) -> bool:
@@ -122,7 +125,7 @@ class PromptedClassifier:
     # -- forward -----------------------------------------------------------
 
     def _composed_prompts(
-        self, embeddings: Tensor, batch: int, train: bool, eps: Tensor | None, rng
+        self, embeddings: Tensor, batch: int, rng: np.random.Generator | None
     ) -> tuple[list[list[Tensor]], Tensor | None, V.LatentDistribution | None]:
         cfg = self.cfg
         inst = dom = None
@@ -130,7 +133,7 @@ class PromptedClassifier:
         if self.has_generator:
             pooled = V.pool_input_embeddings(embeddings)
             dist = V.encode(pooled, self.params, cfg)
-            z = V.reparameterize(dist, rng=rng, train=train, eps=eps)
+            z = V.reparameterize(dist, rng)
             inst = V.decode(z, self.params, cfg)
             kl = V.kl_divergence(dist)
         if self.has_prompts:
@@ -142,24 +145,22 @@ class PromptedClassifier:
     def forward(
         self,
         images: np.ndarray,
-        train: bool = False,
-        eps: Tensor | None = None,
         rng: np.random.Generator | None = None,
         capture_layers: Sequence[int] = (),
     ) -> ForwardResult:
         """Run the model on a pixel batch.
 
-        `train` controls latent sampling only (there is no dropout); `eps`
-        pins the reparameterization draw, otherwise `rng` supplies it. With
-        `capture_layers`, the composed prompt inputs and output patch tokens
-        of those layers are returned as plain arrays for analysis.
+        With `rng` the latent is sampled from it (training); without one it is
+        the posterior mean (evaluation). Nothing else differs: there is no
+        dropout. With `capture_layers`, the composed prompt inputs and output
+        patch tokens of those layers are returned as plain arrays for analysis.
         """
         cfg = self.cfg
         if images.ndim != 4:
             raise ShapeError(f"expected (B, H, W, C) pixels, got {images.shape}")
         batch = images.shape[0]
         embeddings = B.patch_embed(images, self.params, cfg)
-        composed, kl, dist = self._composed_prompts(embeddings, batch, train, eps, rng)
+        composed, kl, dist = self._composed_prompts(embeddings, batch, rng)
         x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
 
         captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -186,6 +187,6 @@ class PromptedClassifier:
         """Eval-mode class predictions; ties resolve to the lowest index."""
         out = []
         for lo in range(0, images.shape[0], EVAL_CHUNK):
-            logits = self.forward(images[lo:lo + EVAL_CHUNK], train=False).logits.data
+            logits = self.forward(images[lo:lo + EVAL_CHUNK]).logits.data
             out.append(np.argmax(logits, axis=1))
         return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)

@@ -769,7 +769,7 @@ def attention(q, k, v, heads: int) -> Tensor:
 LAYER_NORM_EPS = 1e-6
 
 
-def layer_norm(a, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then `* gamma + beta`.
 
     `gamma` and `beta` are each of the normalized width; pass frozen ones and
@@ -784,7 +784,7 @@ def layer_norm(a, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     mu = _row_sum(a.data) / d
     centered = a.data - mu
     var = _row_sum(centered * centered) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = centered * inv
     z = y * gamma.data
     z += beta.data

@@ -75,9 +75,9 @@ class AdamW:
     def for_run(cls, names: list[str], run: RunConfig) -> "AdamW":
         return cls(names, run.lr, run.weight_decay, run.adam_beta1, run.adam_beta2, run.adam_eps)
 
-    def step(self, params: dict[str, Tensor], frozen: frozenset[str] = frozenset()) -> None:
-        for name in frozen:
-            if name in params and params[name].grad is not None:
+    def step(self, params: dict[str, Tensor]) -> None:
+        for name, p in params.items():
+            if not p.requires_grad and p.grad is not None:
                 raise ContractError(f"freeze violation: frozen parameter {name!r} has a gradient")
         # check every gradient before touching any parameter
         for name in self.names:
@@ -176,12 +176,12 @@ class Trainer:
         rng = self.streams.generator("eps", cursor=self.step)
         try:
             with Tape() as tape:
-                out = self.model.forward(images, train=True, rng=rng)
+                out = self.model.forward(images, rng=rng)
                 loss, parts = total_loss(out.logits, labels, out.kl, beta)
                 tape.backward(loss)
         except NumericError as e:
             raise NumericError(f"aborting at step {self.step}: {e}") from e
-        self.optimizer.step(self.model.params, self.model.frozen)
+        self.optimizer.step(self.model.params)
         metrics = StepMetrics(step=self.step, task_ce=parts.task_ce, kl=parts.kl, beta=parts.beta)
         self.step += 1
         self.history.append(metrics)

@@ -1,11 +1,11 @@
 """Latent prompt generator: encoder to a diagonal Gaussian, sampler, decoder.
 
 The encoder maps the mean-pooled frozen patch embedding of an image to
-(mu, logvar); a latent draw (reparameterized in training, mu at eval) decodes
-in one shot to all N layers' instance prompt blocks. `compose_prompts` is the
-one place that assembles each layer's prompts: the instance block before the
-shared domain block, under the fixed token budget. The blocks stay separate;
-each encoder layer concatenates them into its context once.
+(mu, logvar); a latent draw (sampled when given an rng, mu without one)
+decodes in one shot to all N layers' instance prompt blocks. `compose_prompts`
+is the one place that assembles each layer's prompts: the instance block before
+the shared domain block, under the fixed token budget. The blocks stay
+separate; each encoder layer concatenates them into its context once.
 """
 
 from __future__ import annotations
@@ -80,27 +80,18 @@ def encode(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> LatentD
     return LatentDistribution(mu=mu, logvar=logvar)
 
 
-def reparameterize(
-    dist: LatentDistribution,
-    rng: np.random.Generator | None = None,
-    train: bool = True,
-    eps: Tensor | None = None,
-) -> Tensor:
-    """Z = mu + exp(logvar/2) * eps in training; Z = mu exactly at eval.
+def reparameterize(dist: LatentDistribution, rng: np.random.Generator | None = None) -> Tensor:
+    """Z = mu + exp(logvar/2) * eps with eps drawn from `rng`; Z = mu exactly
+    without one.
 
-    eps is a tape constant: gradients reach mu and logvar only. Pass `eps`
-    to pin the draw (gradient checking); otherwise it comes from `rng`.
+    Training passes an rng and evaluation does not, so the rng alone decides
+    whether the latent is sampled. eps is a tape constant: gradients reach mu
+    and logvar only.
     """
-    if not train:
+    if rng is None:
         return dist.mu
-    if eps is None:
-        if rng is None:
-            raise ConfigError("training-mode sampling needs an rng or an explicit eps")
-        eps = T.gaussian(dist.mu.shape, rng)
-    if eps.shape != dist.mu.shape:
-        raise ShapeError(f"eps shape {eps.shape} does not match latent {dist.mu.shape}")
     std = T.texp(dist.logvar * 0.5)
-    return dist.mu + std * eps
+    return dist.mu + std * T.gaussian(dist.mu.shape, rng)
 
 
 def decode(z: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> list[Tensor]:

@@ -142,7 +142,7 @@ def test_criterion_04_token_parity():
     layer_lengths = {}
     for inst in range(cfg.prompt_len + 1):  # every split of the budget k
         model = fresh_tuning_model(dataclasses.replace(cfg, prompt_inst=inst), seed=0)
-        out = model.forward(images, train=False, capture_layers=tuple(range(cfg.depth)))
+        out = model.forward(images, capture_layers=tuple(range(cfg.depth)))
         layer_lengths[inst] = [
             1 + out.captures[l][0].shape[1] + out.captures[l][1].shape[1]
             for l in range(cfg.depth)

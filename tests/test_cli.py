@@ -213,6 +213,67 @@ def test_dataset_with_an_empty_image_extent_exits_3(workdir, tmp_path, capsys, h
     assert "empty image extent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["lr", "weight_decay", "adam_eps", "kl_beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_run_setting_exits_2_naming_the_key(workdir, tmp_path, capsys, key, value):
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                   for line in (workdir / "cfg.txt").read_text().splitlines())
+    (tmp_path / "cfg.txt").write_text(text)
+    out = tmp_path / "p.v2ap"
+    capsys.readouterr()
+    rc = main(["pretrain", "--config", str(tmp_path / "cfg.txt"),
+               "--data", str(workdir / "easy.v2ds"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {key} must be finite and ")
+    assert err.rstrip().endswith(f"got {value}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lr", float("nan"), "lr must be finite and > 0, got nan"),
+    ("eps", -1.0, "adam_eps must be finite and > 0, got -1.0"),
+    ("beta1", 5.0, "adam_beta1 must be in [0, 1)"),
+])
+def test_checkpoint_optimizer_hyperparameter_out_of_range_exits_3(workdir, tmp_path, capsys,
+                                                                  field, value, message):
+    ck = load_checkpoint(workdir / "tuned.v2ap")
+    setattr(ck.optimizer, field, value)
+    bad = tmp_path / "bad.v2ap"
+    save_checkpoint(ck, bad)
+    capsys.readouterr()
+    assert _eval(bad, workdir / "easy.v2ds") == 3
+    err = capsys.readouterr().err
+    assert f"optimizer hyperparameter out of range: {message}" in err
+    assert "Traceback" not in err
+
+
+def _cursor_section(cursors) -> bytes:
+    out = struct.pack("<I", len(cursors))
+    for name, value in cursors:
+        out += struct.pack("<H", len(name)) + name.encode() + struct.pack("<Q", value)
+    return out
+
+
+@pytest.mark.parametrize("cursors", [
+    lambda step: [("eps", step + 1)],
+    lambda step: [("eps", step), ("shuffle", step)],
+    lambda step: [("shuffle", step)],
+    lambda step: [],
+], ids=["eps-not-step", "second-cursor", "other-name", "no-cursor"])
+def test_rng_cursor_other_than_the_step_exits_3(workdir, tmp_path, capsys, cursors):
+    blob = (workdir / "tuned.v2ap").read_bytes()
+    step = struct.unpack_from("<Q", blob, len(blob) - 12)[0]
+    written = _cursor_section([("eps", step)])  # the one cursor a save writes
+    head = blob[:-12 - len(written)]
+    assert head + written == blob[:-12]
+    bad = tmp_path / "bad.v2ap"
+    bad.write_bytes(_reseal(head + _cursor_section(cursors(step)) + struct.pack("<Q", step)))
+    capsys.readouterr()
+    assert _eval(bad, workdir / "easy.v2ds") == 3
+    assert "rng cursors" in capsys.readouterr().err
+
+
 def _checkpoint_fields(path) -> list[tuple[int, int]]:
     """(offset, length) of every field of a .v2ap before its footer."""
     fields = [(0, 4), (4, 4)]  # magic and version, checked before the reader starts

@@ -43,7 +43,7 @@ def test_parameter_inventory_tiny():
 
 def test_forward_shapes_and_kl():
     m = build()
-    out = m.forward(images(3), train=True, rng=SeededStreams(0).generator("eps"))
+    out = m.forward(images(3), rng=SeededStreams(0).generator("eps"))
     assert out.logits.shape == (3, m.cfg.num_classes)
     assert out.kl is not None and out.kl.size == 1
     assert out.kl.item() >= 0.0
@@ -61,19 +61,11 @@ def test_eval_forward_is_deterministic():
 def test_train_forward_depends_on_eps_cursor():
     m = build()
     x = images(2)
-    a = m.forward(x, train=True, rng=SeededStreams(1).generator("eps", 0)).logits.data
-    b = m.forward(x, train=True, rng=SeededStreams(1).generator("eps", 0)).logits.data
-    c = m.forward(x, train=True, rng=SeededStreams(1).generator("eps", 1)).logits.data
+    a = m.forward(x, rng=SeededStreams(1).generator("eps", 0)).logits.data
+    b = m.forward(x, rng=SeededStreams(1).generator("eps", 0)).logits.data
+    c = m.forward(x, rng=SeededStreams(1).generator("eps", 1)).logits.data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_eval_ignores_sampling_entirely():
-    m = build()
-    x = images(2)
-    a = m.forward(x, train=False).logits.data
-    b = m.forward(x, train=False, rng=SeededStreams(99).generator("eps", 123)).logits.data
-    np.testing.assert_array_equal(a, b)
 
 
 def test_captures_have_expected_shapes():
@@ -90,7 +82,7 @@ def _logits_and_grads(capture_last):
     x = images(4, seed=3)
     capture = (m.cfg.depth - 1,) if capture_last else ()
     with Tape() as tape:
-        out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"), capture_layers=capture)
+        out = m.forward(x, rng=SeededStreams(0).generator("eps"), capture_layers=capture)
         loss = T.cross_entropy_with_logits(out.logits, np.array([0, 1, 2, 0])) + out.kl * 1e-3
         tape.backward(loss)
     return out.logits.data, {n: p.grad for n, p in m.trainables().items()}
@@ -116,7 +108,7 @@ def _old_path_forward(m, x, rng):
     prompts spliced in at every layer boundary."""
     cfg, batch, k = m.cfg, x.shape[0], m.active_budget
     embeddings = B.patch_embed(x, m.params, cfg)
-    composed, kl, _ = m._composed_prompts(embeddings, batch, True, None, rng)
+    composed, kl, _ = m._composed_prompts(embeddings, batch, rng)
     cls = T.expand_leading(m.params["backbone.cls"], batch)
     seq = T.concat([cls, *composed[0], embeddings], axis=-2)
     for i in range(cfg.depth):
@@ -145,7 +137,7 @@ def _old_and_new_logits_and_grads(cfg, capture_last):
                 logits, kl = _old_path_forward(m, x, rng)
             else:
                 capture = (cfg.depth - 1,) if capture_last else ()
-                out = m.forward(x, train=True, rng=rng, capture_layers=capture)
+                out = m.forward(x, rng=rng, capture_layers=capture)
                 logits, kl = out.logits, out.kl
             loss = T.cross_entropy_with_logits(logits, labels)
             tape.backward(loss if kl is None else loss + kl * 1e-3)
@@ -182,7 +174,7 @@ def _parent_composition_forward(m, x, rng, capture_layers):
     inst = kl = None
     if m.has_generator:
         dist = V.encode(V.pool_input_embeddings(embeddings), params, cfg)
-        z = V.reparameterize(dist, rng=rng, train=True)
+        z = V.reparameterize(dist, rng=rng)
         h = T.gelu(T.linear(z, params["vae.dec.w1"], params["vae.dec.b1"]))
         flat = T.linear(h, params["vae.dec.w2"], params["vae.dec.b2"])
         stacked = flat.reshape(batch, cfg.depth, cfg.prompt_inst, cfg.dim)
@@ -234,7 +226,7 @@ def test_prompt_blocks_match_the_parent_composition_bit_for_bit(
                 if parent:
                     logits, kl, captures = _parent_composition_forward(m, x, rng, capture_layers)
                 else:
-                    out = m.forward(x, train=True, rng=rng, capture_layers=capture_layers)
+                    out = m.forward(x, rng=rng, capture_layers=capture_layers)
                     logits, kl, captures = out.logits, out.kl, out.captures
                 loss = T.cross_entropy_with_logits(logits, labels)
                 tape.backward(loss if kl is None else loss + kl * 1e-3)
@@ -265,7 +257,7 @@ def test_default_tune_step_records():
                                                cfg, SeededStreams(1))
         x = np.random.default_rng(0).random((8, 16, 16, 1)).astype(np.float32)
         with Tape() as tape:
-            out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"))
+            out = m.forward(x, rng=SeededStreams(0).generator("eps"))
             total_loss(out.logits, np.zeros(8, dtype=np.int64), out.kl, 1e-3)
         ops = [r.op for r in tape.records]
         layers = ops[ops.index("layer_norm") - 1:ops.index("reshape", ops.index("layer_norm"))]
@@ -290,7 +282,7 @@ def test_every_adapter_gradient_is_nonzero_after_one_backward():
     x = images(4, seed=3)
     labels = np.array([0, 1, 2, 0])
     with Tape() as tape:
-        out = m.forward(x, train=True, rng=SeededStreams(0).generator("eps"))
+        out = m.forward(x, rng=SeededStreams(0).generator("eps"))
         loss = T.cross_entropy_with_logits(out.logits, labels) + out.kl * 1e-3
         tape.backward(loss)
     for name, p in m.trainables().items():
@@ -304,7 +296,9 @@ def test_vpt_flavor_has_no_generator_and_full_width_prompts():
     m = build(cfg)
     assert not m.has_generator
     assert m.params["prompts.0"].shape == (4, 16)
-    out = m.forward(images(2), train=True)  # no rng needed: nothing samples
+    rng, twin = SeededStreams(0).generator("eps"), SeededStreams(0).generator("eps")
+    out = m.forward(images(2), rng=rng)
+    assert rng.random() == twin.random()  # nothing drew from rng: nothing samples
     assert out.kl is None and out.latent is None
     assert m.active_budget == 4
 
@@ -322,7 +316,7 @@ def test_pure_instance_flavor():
     cfg = ModelConfig(**{**tiny_config().__dict__, "prompt_inst": 4})  # k_dom = 0
     m = build(cfg)
     assert m.has_generator and not m.has_prompts
-    out = m.forward(images(2), train=False)
+    out = m.forward(images(2))
     assert out.logits.shape == (2, 3)
     assert m.active_budget == 4
 

@@ -117,7 +117,7 @@ def test_frozen_gradient_is_a_freeze_violation():
     params["backbone.x"].grad = np.ones(1)  # should never happen in training
     opt = TR.AdamW(["w"])
     with pytest.raises(ContractError, match="freeze violation"):
-        opt.step(params, frozenset({"backbone.x"}))
+        opt.step(params)
 
 
 def test_missing_gradient_rejected():

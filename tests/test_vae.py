@@ -4,6 +4,8 @@ The KL oracle is a seeded antithetic Monte-Carlo estimate of
 E_q[log q - log p], fully independent of the closed form under test.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_pooling_is_mean_and_permutation_invariant():
 def test_reparameterize_eval_is_mu_bit_exact():
     mu = Tensor(np.random.default_rng(0).standard_normal(8))
     dist = V.LatentDistribution(mu=mu, logvar=Tensor(np.full(8, 0.7)))
-    z = V.reparameterize(dist, train=False)
+    z = V.reparameterize(dist)
     assert z is mu
 
 
@@ -94,12 +96,6 @@ def test_eps_stream_reproducible():
     c = V.reparameterize(dist, rng=SeededStreams(9).generator("eps", cursor=4)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_reparameterize_needs_a_randomness_source():
-    dist = V.LatentDistribution(mu=Tensor(np.zeros(2)), logvar=Tensor(np.zeros(2)))
-    with pytest.raises(ConfigError):
-        V.reparameterize(dist, train=True)
 
 
 def test_decode_shapes_and_layer_major_order():
@@ -178,15 +174,14 @@ def test_kl_nonnegative_property():
 
 def test_reparameterization_gradient_matches_finite_differences():
     g = np.random.default_rng(4)
-    eps_val = g.standard_normal(5)
     with float64_mode():
         mu = Tensor(g.standard_normal(5), requires_grad=True)
         lv = Tensor(g.uniform(-1, 1, 5), requires_grad=True)
-        eps = Tensor(eps_val)
         w = Tensor(g.standard_normal(5))
 
         def build():
-            z = V.reparameterize(V.LatentDistribution(mu=mu, logvar=lv), eps=eps)
+            # a copy of g replays the same draw on every call
+            z = V.reparameterize(V.LatentDistribution(mu=mu, logvar=lv), rng=copy.deepcopy(g))
             kl = V.kl_divergence(V.LatentDistribution(mu=mu, logvar=lv))
             return (z * w).sum() + kl
 
