@@ -2,11 +2,11 @@
 
 Little-endian layout: magic "V2AP", version, the canonical config text with
 its own CRC32, sorted named tensor records (name, dtype tag, rank, extents,
-raw bytes), the freeze-mask name list, optimizer hyperparameters and moment
-buffers, named RNG cursors, the step counter, and a CRC32 footer over every
-preceding byte. Sorting all name-keyed sections makes save -> load -> save
-reproduce the file byte for byte. The trainer derives its streams from the
-step, so the one RNG cursor, `eps`, is written from the step and checked on load.
+raw bytes), the freeze-mask name list, optimizer settings and moment buffers,
+named RNG cursors, the step counter, and a CRC32 footer over every preceding
+byte. Sorting all name-keyed sections makes save -> load -> save reproduce the
+file byte for byte. A save writes the optimizer settings from the config text
+and the one RNG cursor, `eps`, from the step; a load checks both.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class Checkpoint:
     optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
     step: int = 0
 
-    def configs(self) -> tuple[ModelConfig, RunConfig]:
-        return config_from_text(self.config_text)
-
 
 def _pack_name(out: bytearray, name: str) -> None:
     raw = name.encode("utf-8")
@@ -65,7 +62,32 @@ def _pack_array(out: bytearray, arr: np.ndarray) -> None:
     out += np.ascontiguousarray(arr, dtype=dt).tobytes()
 
 
+def _settings(config_text: str) -> tuple[float, ...]:
+    """The AdamW settings of the run the config text describes, in file order."""
+    try:
+        _, run = config_from_text(config_text)
+    except ConfigError as e:
+        raise FormatError(f"invalid config text: {e}") from None
+    return run.lr, run.weight_decay, run.adam_beta1, run.adam_beta2, run.adam_eps
+
+
+def _refuse(*problems: tuple[str, set[str]]) -> None:
+    for problem, found in problems:
+        if found:
+            raise FormatError(f"checkpoint {problem}(s) {', '.join(map(repr, sorted(found)))}")
+
+
+def _check_moments(ck: Checkpoint) -> None:
+    """Moments, when the file holds them, for exactly the unfrozen tensors."""
+    if ck.optimizer is not None:
+        unfrozen, moments = ck.tensors.keys() - ck.frozen, ck.optimizer.m.keys()
+        _refuse(("has no moments for unfrozen tensor", unfrozen - moments),
+                ("has moments for frozen or unknown tensor", moments - unfrozen))
+
+
 def save_checkpoint(ck: Checkpoint, path) -> None:
+    settings = _settings(ck.config_text)  # a save writes only what a load accepts
+    _check_moments(ck)
     out = bytearray()
     out += CKPT_MAGIC
     out += struct.pack("<I", CKPT_VERSION)
@@ -90,7 +112,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         if sorted(o.m) != sorted(o.v):
             raise FormatError("optimizer moment name sets differ")
         out += struct.pack("<B", 1)
-        out += struct.pack("<5d", o.lr, o.weight_decay, o.beta1, o.beta2, o.eps)
+        out += struct.pack("<5d", *settings)
         out += struct.pack("<Q", o.t)
         out += struct.pack("<I", len(o.m))
         for name in sorted(o.m):
@@ -169,6 +191,7 @@ def load_checkpoint(path) -> Checkpoint:
     text = r.text(text_len, "config text")
     if r.unpack("<I", "config hash") != zlib.crc32(text.encode("utf-8")):
         raise FormatError("config hash mismatch")
+    settings = _settings(text)
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I", "tensor count")):
@@ -179,18 +202,17 @@ def load_checkpoint(path) -> Checkpoint:
 
     optimizer = None
     if r.unpack("<B", "optimizer flag"):
-        lr, wd, b1, b2, eps = r.unpack("<5d", "optimizer hyperparameters")
-        try:
-            RunConfig(lr=lr, weight_decay=wd, adam_beta1=b1, adam_beta2=b2, adam_eps=eps).validate()
-        except ConfigError as e:
-            raise FormatError(f"optimizer hyperparameter out of range: {e}") from None
+        raw = r.take(struct.calcsize("<5d"), "optimizer settings")
+        if raw != struct.pack("<5d", *settings):
+            raise FormatError(f"optimizer settings {struct.unpack('<5d', raw)} are not the config's "
+                              f"(lr, weight_decay, adam_beta1, adam_beta2, adam_eps) = {settings}")
         t = r.unpack("<Q", "optimizer step")
         m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
             name = r.name("moment")
             m[name] = r.array(f"first moment {name!r}")
             v[name] = r.array(f"second moment {name!r}")
-        optimizer = AdamW(sorted(m), lr, wd, b1, b2, eps)
+        optimizer = AdamW()
         optimizer.t, optimizer.m, optimizer.v = t, m, v
 
     cursors = [(r.name("rng cursor"), r.unpack("<Q", "rng cursor"))
@@ -215,7 +237,7 @@ def _copy_optimizer(o: AdamW) -> AdamW:
     The moment arrays are shared uncopied: AdamW.step replaces its moments
     rather than writing into them.
     """
-    opt = AdamW(o.names, o.lr, o.weight_decay, o.beta1, o.beta2, o.eps)
+    opt = AdamW()
     opt.t, opt.m, opt.v = o.t, dict(o.m), dict(o.v)
     return opt
 
@@ -230,10 +252,10 @@ def snapshot(
     if optimizer is not None:
         opt = _copy_optimizer(optimizer)
         # moments exist only for parameters touched by a step; fill the rest
-        for name in opt.names:
+        for name, p in model.trainables().items():
             if name not in opt.m:
-                opt.m[name] = np.zeros_like(model.params[name].data)
-                opt.v[name] = np.zeros_like(model.params[name].data)
+                opt.m[name] = np.zeros_like(p.data)
+                opt.v[name] = np.zeros_like(p.data)
     return Checkpoint(
         config_text=config_to_text(model.cfg, run),
         tensors={n: p.data.copy() for n, p in model.params.items()},
@@ -246,17 +268,17 @@ def snapshot(
 def _check_tensors(cfg: ModelConfig, ck: Checkpoint) -> None:
     """Names and shapes against the config: the backbone and head always,
     each adapter group (domain prompts, latent generator) whole or not at all,
-    and a freeze mask naming only tensors the file holds."""
+    a freeze mask naming only tensors the file holds, and moments for exactly
+    the unfrozen tensors."""
     names = ck.tensors.keys()
     expected = B.param_shapes(cfg)
     for group in (P.param_shapes(cfg), V.param_shapes(cfg)):
         if group.keys() & names:
             expected.update(group)
-    for problem, found in (("lacks tensor", expected.keys() - names),
-                           ("has unexpected tensor", names - expected.keys()),
-                           ("freezes unknown tensor", ck.frozen - names)):
-        if found:
-            raise FormatError(f"checkpoint {problem}(s) {', '.join(map(repr, sorted(found)))}")
+    _refuse(("lacks tensor", expected.keys() - names),
+            ("has unexpected tensor", names - expected.keys()),
+            ("freezes unknown tensor", ck.frozen - names))
+    _check_moments(ck)
     for name, shape in expected.items():
         if ck.tensors[name].shape != shape:
             raise FormatError(
@@ -265,7 +287,7 @@ def _check_tensors(cfg: ModelConfig, ck: Checkpoint) -> None:
 
 
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
-    cfg, run = ck.configs()
+    cfg, run = config_from_text(ck.config_text)
     _check_tensors(cfg.validate(), ck)
     params = {
         name: Tensor(arr, requires_grad=name not in ck.frozen)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import math
 import sys
 
 from .analysis import export_map, mean_similarity, model_similarity_map
@@ -109,6 +110,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:  # NaN fails the range too
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     cfg = None
     if args.config is not None:
         cfg, _ = _load_config(args.config)

@@ -27,6 +27,8 @@ DATA_VERSION = 1
 
 _FAMILIES = ("stripes_h", "stripes_v", "checker", "blobs", "stripes_d")
 _PLACEMENTS = 4  # deterministic within-class variants
+_CANVAS = 16  # side of the square canvas, in pixels
+_CHANNELS = 1  # grayscale
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,6 @@ class TaskSpec:
     brightness: float = 0.0
     frequency: float = 0.0
     occlusion: float = 0.0
-    image_size: int = 16
-    channels: int = 1
 
     def validate(self) -> "TaskSpec":
         if self.classes < 2:
@@ -53,8 +53,6 @@ class TaskSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        if self.image_size < 4 or self.channels < 1:
-            raise ValidationError(f"bad canvas {self.image_size}x{self.image_size}x{self.channels}")
         return self
 
 
@@ -112,7 +110,7 @@ def _blob_pattern(size: int, center: tuple[float, float], radius: float) -> np.n
 
 def _render_class(spec: TaskSpec, cls: int, placement: int) -> np.ndarray:
     """Noise-free canvas for one (class, placement-variant) pair."""
-    s = spec.image_size
+    s = _CANVAS
     family = _FAMILIES[cls % len(_FAMILIES)]
     tier = cls // len(_FAMILIES)  # higher tiers reuse families at finer scale
     cycles = 2.0 * (1.0 + spec.frequency) * (1.0 + 0.7 * tier)
@@ -143,8 +141,8 @@ def generate(spec: TaskSpec, seed: int) -> Dataset:
     """
     spec.validate()
     rng = SeededStreams(seed).generator("data")
-    s, c_in = spec.image_size, spec.channels
-    images = np.empty((spec.classes * spec.per_class, s, s, c_in), dtype=np.float32)
+    s = _CANVAS
+    images = np.empty((spec.classes * spec.per_class, s, s, _CHANNELS), dtype=np.float32)
     labels = np.empty(spec.classes * spec.per_class, dtype=np.int64)
     row = 0
     for cls in range(spec.classes):
@@ -159,7 +157,7 @@ def generate(spec: TaskSpec, seed: int) -> Dataset:
             if spec.noise > 0.0:
                 img = img + rng.normal(0.0, spec.noise, size=img.shape)
             img = np.clip(img, 0.0, 1.0)
-            images[row] = img[:, :, None].repeat(c_in, axis=2)
+            images[row] = img[:, :, None].repeat(_CHANNELS, axis=2)
             labels[row] = cls
             row += 1
     desc = (

@@ -867,11 +867,3 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
 def gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
     """A sampled standard-normal node, constant with respect to the tape."""
     return Tensor(rng.standard_normal(shape))
-
-
-def backward(loss: Tensor) -> None:
-    """Backpropagate from `loss` through the innermost active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise ContractError("backward called with no active tape")
-    tape.backward(loss)

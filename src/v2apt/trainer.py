@@ -1,4 +1,4 @@
-"""Loss assembly, AdamW over the unfrozen subset, and the training loop.
+"""Loss assembly, AdamW over the trainable parameters, and the training loop.
 
 The loop is step-addressed rather than stateful: the shuffle for epoch e
 comes from the "shuffle" stream at cursor e and the latent draw for step t
@@ -48,61 +48,45 @@ def total_loss(
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a fixed set of parameter names.
+    """Decoupled-weight-decay Adam over the parameters that require a gradient.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta.
-    Parameters are replaced with fresh tensors each step; moment buffers are
-    keyed by name so they serialize into checkpoints.
+    It holds only what it learns, the step count and moment buffers keyed by
+    name (so they serialize into checkpoints); its settings come from the run
+    config. Parameters are replaced with fresh tensors each step.
     """
 
-    def __init__(
-        self,
-        names: list[str],
-        lr: float = 1e-3,
-        weight_decay: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.names = sorted(names)
-        self.lr, self.weight_decay = float(lr), float(weight_decay)
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    @classmethod
-    def for_run(cls, names: list[str], run: RunConfig) -> "AdamW":
-        return cls(names, run.lr, run.weight_decay, run.adam_beta1, run.adam_beta2, run.adam_eps)
-
-    def step(self, params: dict[str, Tensor]) -> None:
+    def step(self, params: dict[str, Tensor], run: RunConfig) -> None:
+        names = sorted(name for name, p in params.items() if p.requires_grad)
         for name, p in params.items():
             if not p.requires_grad and p.grad is not None:
                 raise ContractError(f"freeze violation: frozen parameter {name!r} has a gradient")
         # check every gradient before touching any parameter
-        for name in self.names:
+        for name in names:
             g = params[name].grad
             if g is None:
                 raise ContractError(f"no gradient for trainable parameter {name!r}")
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r} at step {self.t}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name in self.names:
+        b1, b2, lr = run.adam_beta1, run.adam_beta2, run.lr
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for name in names:
             p = params[name]
             g = p.grad
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            # a first step starts from zero moments: 0.9 * 0.0 + x == x
+            m = b1 * self.m.get(name, 0.0) + (1.0 - b1) * g
+            v = b2 * self.v.get(name, 0.0) + (1.0 - b2) * g * g
             self.m[name], self.v[name] = m, v
             m_hat = m / bc1
             v_hat = v / bc2
-            new = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.lr * self.weight_decay * p.data
+            new = p.data - lr * m_hat / (np.sqrt(v_hat) + run.adam_eps) - lr * run.weight_decay * p.data
             fresh = Tensor.__new__(Tensor)
             fresh.data = new.astype(p.data.dtype, copy=False)
             fresh.requires_grad = True
@@ -157,7 +141,7 @@ class Trainer:
         self.dataset = dataset
         self.streams = SeededStreams(run.seed)
         self.step = step
-        self.optimizer = optimizer or AdamW.for_run(sorted(model.trainables()), run)
+        self.optimizer = optimizer or AdamW()
         self.history: list[StepMetrics] = []
 
     @property
@@ -181,7 +165,7 @@ class Trainer:
                 tape.backward(loss)
         except NumericError as e:
             raise NumericError(f"aborting at step {self.step}: {e}") from e
-        self.optimizer.step(self.model.params)
+        self.optimizer.step(self.model.params, self.run)
         metrics = StepMetrics(step=self.step, task_ce=parts.task_ce, kl=parts.kl, beta=parts.beta)
         self.step += 1
         self.history.append(metrics)

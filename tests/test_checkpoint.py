@@ -18,7 +18,7 @@ from v2apt.tensor import Tensor
 
 def small_checkpoint() -> C.Checkpoint:
     g = np.random.default_rng(0)
-    opt = TR.AdamW(["head.w"], lr=1e-3, weight_decay=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = TR.AdamW()
     opt.t = 7
     opt.m = {"head.w": g.standard_normal((4, 2)).astype(np.float32)}
     opt.v = {"head.w": g.random((4, 2)).astype(np.float32)}
@@ -70,6 +70,7 @@ def test_optimizer_absent_round_trips(tmp_path):
 def test_float64_tensors_round_trip(tmp_path):
     ck = small_checkpoint()
     ck.tensors["wide"] = np.random.default_rng(1).standard_normal(5)  # float64
+    ck.frozen = ck.frozen | {"wide"}  # the moments cover only the unfrozen head.w
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
     back = C.load_checkpoint(p)
@@ -267,3 +268,43 @@ def test_a_step_after_restore_optimizer_leaves_the_checkpoint_moments_unchanged(
     for name, (m, v) in saved.items():
         assert np.array_equal(ck.optimizer.m[name], m) and np.array_equal(ck.optimizer.v[name], v)
         assert not np.array_equal(opt.m[name], m), name
+
+
+def test_resume_from_moments_missing_an_unfrozen_tensor_is_refused(tmp_path):
+    # such a file would leave head.b fixed for the whole resumed run
+    first = TR.Trainer(tuned(), run_cfg(steps=4), dataset())
+    first.train_step()
+    ck = C.snapshot(first.model, first.run, first.optimizer, first.step)
+    del ck.optimizer.m["head.b"], ck.optimizer.v["head.b"]
+    p = tmp_path / "gap.v2ap"
+    with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
+        C.save_checkpoint(ck, p)
+    assert not p.exists()
+    with pytest.MonkeyPatch.context() as mp:  # as another writer could
+        mp.setattr(C, "_check_moments", lambda ck: None)
+        C.save_checkpoint(ck, p)
+    loaded = C.load_checkpoint(p)
+    with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
+        C.restore_model(loaded)
+
+
+def test_optimizer_settings_are_written_from_the_config_text(tmp_path):
+    ck = small_checkpoint()
+    run = RunConfig(lr=0.25, weight_decay=0.0, adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-6)
+    ck.config_text = config_to_text(tiny_config(), run)
+    p = tmp_path / "ck.v2ap"
+    C.save_checkpoint(ck, p)
+    assert p.read_bytes().count(struct.pack("<5d", 0.25, 0.0, 0.5, 0.75, 1e-6)) == 1
+    C.save_checkpoint(C.load_checkpoint(p), tmp_path / "again.v2ap")
+    assert (tmp_path / "again.v2ap").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("with_optimizer", [True, False])
+def test_save_refuses_an_invalid_config_text(tmp_path, with_optimizer):
+    ck = small_checkpoint()
+    ck.config_text = ck.config_text.replace("depth = 2\n", "depth = 0\n")
+    if not with_optimizer:
+        ck.optimizer = None
+    with pytest.raises(FormatError, match="invalid config text: depth must be >= 1"):
+        C.save_checkpoint(ck, tmp_path / "ck.v2ap")
+    assert not (tmp_path / "ck.v2ap").exists()

@@ -7,6 +7,7 @@ and captured output without subprocess overhead; one test exercises the real
 
 import dataclasses
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
 from v2apt.data import DATA_MAGIC, DATA_VERSION, TaskSpec, generate, save_dataset
+from v2apt.errors import FormatError
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,9 @@ def test_checkpoint_with_nan_parameter_exits_3(workdir, tmp_path, capsys):
 
 def _drop_patch_weight(ck):
     del ck.tensors["backbone.patch.w"]
+    if ck.optimizer is not None:  # keep the moments to the unfrozen tensors
+        ck.optimizer.m.pop("backbone.patch.w", None)
+        ck.optimizer.v.pop("backbone.patch.w", None)
 
 
 def _misshape_head(ck):
@@ -142,6 +147,8 @@ def _misshape_head(ck):
 
 def _add_stray_tensor(ck):
     ck.tensors["backbone.extra"] = np.zeros(3, dtype=np.float32)
+    if ck.optimizer is not None:  # keep the moments to the unfrozen tensors
+        ck.optimizer.m["backbone.extra"] = ck.optimizer.v["backbone.extra"] = np.zeros(3, np.float32)
 
 
 def _freeze_stray_name(ck):
@@ -184,6 +191,67 @@ def _reseal(body: bytes) -> bytes:
 
 def _eval(ckpt, data) -> int:
     return main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+
+
+def _drop_head_b_moments(ck):
+    del ck.optimizer.m["head.b"], ck.optimizer.v["head.b"]
+
+
+def _add_frozen_moments(ck):
+    ck.optimizer.m["backbone.cls"] = ck.optimizer.v["backbone.cls"] = ck.tensors["backbone.cls"]
+
+
+@pytest.mark.parametrize("source, corrupt, message", [
+    ("tuned.v2ap", _drop_head_b_moments, "has no moments for unfrozen tensor(s) 'head.b'"),
+    ("tuned.v2ap", _add_frozen_moments, "has moments for frozen or unknown tensor(s) 'backbone.cls'"),
+    # the tensor checks come first: this file also has moments for the dropped tensor
+    ("pre.v2ap", lambda ck: ck.tensors.pop("backbone.patch.w"), "lacks tensor(s) 'backbone.patch.w'"),
+])
+def test_checkpoint_moments_other_than_the_unfrozen_tensors_exit_3(workdir, tmp_path, capsys,
+                                                                    source, corrupt, message):
+    ck = load_checkpoint(workdir / source)
+    corrupt(ck)
+    bad = tmp_path / "bad.v2ap"
+    with pytest.raises(FormatError, match="moments"):
+        save_checkpoint(ck, bad)
+    assert not bad.exists()
+    with pytest.MonkeyPatch.context() as mp:  # as another writer could
+        mp.setattr(C, "_check_moments", lambda ck: None)
+        save_checkpoint(ck, bad)
+    capsys.readouterr()
+    assert _eval(bad, workdir / "easy.v2ds") == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _with_config_text(blob: bytes, old: str, new: str) -> bytes:
+    """`blob` with `old` replaced in its config text, both checksums re-sealed."""
+    text_len = struct.unpack_from("<I", blob, 8)[0]
+    text = blob[12:12 + text_len].decode().replace(old, new).encode()
+    assert len(text) == text_len + len(new) - len(old)
+    head = blob[:8] + struct.pack("<I", len(text)) + text + struct.pack("<I", zlib.crc32(text))
+    return _reseal(head + blob[12 + text_len + 4:-4])
+
+
+@pytest.mark.parametrize("command", ["eval", "tune"])
+def test_checkpoint_with_an_invalid_config_text_exits_3(workdir, tmp_path, capsys, command):
+    # CRC-valid: the config text itself fails validation
+    source = "tuned.v2ap" if command == "eval" else "pre.v2ap"
+    bad = tmp_path / "bad.v2ap"
+    bad.write_bytes(_with_config_text((workdir / source).read_bytes(), "depth = 2\n", "depth = 0\n"))
+    data = str(workdir / "easy.v2ds")
+    if command == "eval":
+        argv = ["eval", "--ckpt", str(bad), "--data", data]
+    else:
+        argv = ["tune", "--config", str(workdir / "cfg.txt"), "--backbone-ckpt", str(bad),
+                "--data", data, "--method", "v2apt", "--out", str(tmp_path / "t.v2ap")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "invalid config text: depth must be >= 1, got 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.v2ap").exists()
 
 
 @pytest.mark.parametrize("field", ["config text", "tensor name"])
@@ -230,21 +298,25 @@ def test_non_finite_run_setting_exits_2_naming_the_key(workdir, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("lr", float("nan"), "lr must be finite and > 0, got nan"),
-    ("eps", -1.0, "adam_eps must be finite and > 0, got -1.0"),
-    ("beta1", 5.0, "adam_beta1 must be in [0, 1)"),
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("adam_eps", -1.0), ("adam_beta1", 5.0),
+    ("lr", 0.5),  # in range, but not the config's
 ])
-def test_checkpoint_optimizer_hyperparameter_out_of_range_exits_3(workdir, tmp_path, capsys,
-                                                                  field, value, message):
-    ck = load_checkpoint(workdir / "tuned.v2ap")
-    setattr(ck.optimizer, field, value)
+def test_checkpoint_optimizer_settings_other_than_its_config_exit_3(workdir, tmp_path, capsys,
+                                                                    field, value):
+    _, run = config_from_text((workdir / "cfg.txt").read_text())
+    names = ("lr", "weight_decay", "adam_beta1", "adam_beta2", "adam_eps")
+    settings = tuple(getattr(run, n) for n in names)
+    patched = tuple(value if n == field else v for n, v in zip(names, settings))
+    body = (workdir / "tuned.v2ap").read_bytes()[:-4]
+    assert body.count(struct.pack("<5d", *settings)) == 1
     bad = tmp_path / "bad.v2ap"
-    save_checkpoint(ck, bad)
+    bad.write_bytes(_reseal(body.replace(struct.pack("<5d", *settings), struct.pack("<5d", *patched))))
     capsys.readouterr()
     assert _eval(bad, workdir / "easy.v2ds") == 3
     err = capsys.readouterr().err
-    assert f"optimizer hyperparameter out of range: {message}" in err
+    assert f"optimizer settings {patched} are not the config's" in err
+    assert str(settings) in err
     assert "Traceback" not in err
 
 
@@ -394,6 +466,15 @@ def test_gradcheck_subcommand_passes(capsys):
     assert "all gradients verified" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_gradcheck_tolerance_must_be_positive_and_finite(capsys, monkeypatch, tol):
+    monkeypatch.setattr("v2apt.cli.full_model_check", lambda *a, **k: pytest.fail("check ran"))
+    assert main(["gradcheck", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol must be finite and > 0, got ")
+    assert captured.out == ""
+
+
 def test_argparse_rejects_unknown_method(workdir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["tune", "--config", str(workdir / "cfg.txt"),
@@ -403,12 +484,17 @@ def test_argparse_rejects_unknown_method(workdir, tmp_path):
     assert exc.value.code == 2
 
 
+def _child(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh Python with this checkout's `src` on its import path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
 def test_module_entry_point_runs(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "v2apt", "gen-data", "--preset", "easy-3",
-         "--seed", "1", "--out", str(tmp_path / "d.v2ds")],
-        capture_output=True, text=True,
-    )
+    proc = _child(["-m", "v2apt", "gen-data", "--preset", "easy-3",
+                   "--seed", "1", "--out", str(tmp_path / "d.v2ds")])
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
     assert (tmp_path / "d.v2ds").exists()
@@ -443,14 +529,14 @@ for _ in range(10):
     np.ones(n, dtype=np.float32)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     # mapped afresh, each array would fault in its 816 pages again
     assert int(proc.stdout.split()[-1]) < 100
 
 
 def _fresh_process(code: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -82,8 +82,7 @@ def test_first_step_matches_hand_derived_value():
     with float64_mode():
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
         params["w"].grad = np.ones(1)
-        opt = TR.AdamW(["w"], lr=1e-3, weight_decay=1e-4)
-        opt.step(params)
+        TR.AdamW().step(params, RunConfig(lr=1e-3, weight_decay=1e-4))
         # m_hat = v_hat = 1 at t=1, theta was 0 so the decay term vanishes
         want = -1e-3 / (1.0 + 1e-8)
         assert params["w"].data[0] == pytest.approx(want, abs=1e-12)
@@ -94,8 +93,7 @@ def test_pure_decay_with_zero_gradient():
     with float64_mode():
         params = {"w": Tensor(np.ones(1), requires_grad=True)}
         params["w"].grad = np.zeros(1)
-        opt = TR.AdamW(["w"], lr=1e-3, weight_decay=1e-4)
-        opt.step(params)
+        TR.AdamW().step(params, RunConfig(lr=1e-3, weight_decay=1e-4))
         assert params["w"].data[0] == pytest.approx(1.0 - 1e-7, abs=1e-15)
 
 
@@ -103,8 +101,7 @@ def test_no_decay_no_gradient_is_identity():
     with float64_mode():
         params = {"w": Tensor(np.full(3, 1.5), requires_grad=True)}
         params["w"].grad = np.zeros(3)
-        opt = TR.AdamW(["w"], lr=1e-3, weight_decay=0.0)
-        opt.step(params)
+        TR.AdamW().step(params, RunConfig(lr=1e-3, weight_decay=0.0))
         np.testing.assert_array_equal(params["w"].data, np.full(3, 1.5))
 
 
@@ -115,16 +112,14 @@ def test_frozen_gradient_is_a_freeze_violation():
     }
     params["w"].grad = np.ones(1)
     params["backbone.x"].grad = np.ones(1)  # should never happen in training
-    opt = TR.AdamW(["w"])
     with pytest.raises(ContractError, match="freeze violation"):
-        opt.step(params)
+        TR.AdamW().step(params, RunConfig())
 
 
 def test_missing_gradient_rejected():
     params = {"w": Tensor(np.ones(1), requires_grad=True)}
-    opt = TR.AdamW(["w"])
     with pytest.raises(ContractError, match="w"):
-        opt.step(params)
+        TR.AdamW().step(params, RunConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -133,15 +128,15 @@ def test_non_finite_gradient_names_parameter_and_step(bad):
         "a": Tensor(np.ones(2), requires_grad=True),
         "b": Tensor(np.ones(2), requires_grad=True),
     }
-    opt = TR.AdamW(["a", "b"])
+    opt, run = TR.AdamW(), RunConfig()
     params["a"].grad = np.ones(2, dtype=np.float32)
     params["b"].grad = np.ones(2, dtype=np.float32)
-    opt.step(params)
+    opt.step(params, run)
     before = {n: p.data.copy() for n, p in params.items()}
     params["a"].grad = np.ones(2, dtype=np.float32)
     params["b"].grad = np.array([0.0, bad], dtype=np.float32)
     with pytest.raises(NumericError, match=r"'b' at step 1"):
-        opt.step(params)
+        opt.step(params, run)
     # nothing moved: the check runs before any update
     assert opt.t == 1
     for n, p in params.items():
@@ -151,12 +146,37 @@ def test_non_finite_gradient_names_parameter_and_step(bad):
 def test_moments_accumulate_across_steps():
     with float64_mode():
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
-        opt = TR.AdamW(["w"], lr=1e-3, weight_decay=0.0)
+        opt, run = TR.AdamW(), RunConfig(lr=1e-3, weight_decay=0.0)
         for g in (1.0, 1.0):
             params["w"].grad = np.array([g])
-            opt.step(params)
+            opt.step(params, run)
         assert opt.t == 2
         assert opt.m["w"][0] == pytest.approx(0.9 * 0.1 + 0.1 * 1.0, rel=1e-12)
+
+
+def test_step_updates_exactly_the_parameters_that_require_a_gradient():
+    frozen = Tensor(np.ones(2))
+    params = {"a": Tensor(np.ones(2), requires_grad=True), "frozen": frozen}
+    params["a"].grad = np.ones(2)
+    opt = TR.AdamW()
+    opt.step(params, RunConfig())
+    assert opt.m.keys() == opt.v.keys() == {"a"}
+    assert params["frozen"] is frozen
+    assert (params["a"].data < 1.0).all()
+
+
+def test_first_step_equals_a_step_from_zero_moments():
+    # the first step folds missing moments in as 0.0: bit-identical, -0.0 included
+    g = np.array([-0.0, 0.0, 1e-30, -3.5, 7.0], dtype=np.float32)
+    results = []
+    for start in ({}, {"w": np.zeros(5, dtype=np.float32)}):
+        params = {"w": Tensor(np.full(5, 0.5, dtype=np.float32), requires_grad=True)}
+        params["w"].grad = g.copy()
+        opt = TR.AdamW()
+        opt.m, opt.v = dict(start), dict(start)
+        opt.step(params, RunConfig())
+        results.append([a.tobytes() for a in (params["w"].data, opt.m["w"], opt.v["w"])])
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
