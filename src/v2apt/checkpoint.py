@@ -6,7 +6,9 @@ raw bytes), the freeze-mask name list, optimizer settings and moment buffers,
 named RNG cursors, the step counter, and a CRC32 footer over every preceding
 byte. Sorting all name-keyed sections makes save -> load -> save reproduce the
 file byte for byte. A save writes the optimizer settings from the config text
-and the one RNG cursor, `eps`, from the step; a load checks both.
+and the one RNG cursor, `eps`, from the step; a load checks both. Save, load
+and `restore_model` apply one check, `_check`, so a save writes exactly the
+files a load accepts; each array is checked finite where it meets the bytes.
 """
 
 from __future__ import annotations
@@ -53,21 +55,19 @@ def _pack_name(out: bytearray, name: str) -> None:
     out += raw
 
 
-def _pack_array(out: bytearray, arr: np.ndarray) -> None:
+def _pack_array(out: bytearray, arr: np.ndarray, what: str) -> None:
     dt = np.dtype(arr.dtype).newbyteorder("<")
     if dt not in _DTYPE_TAGS:
         raise FormatError(f"unsupported dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"non-finite value in {what}")
     out += struct.pack("<BB", _DTYPE_TAGS[dt], arr.ndim)
     out += struct.pack(f"<{arr.ndim}I", *arr.shape)
     out += np.ascontiguousarray(arr, dtype=dt).tobytes()
 
 
-def _settings(config_text: str) -> tuple[float, ...]:
-    """The AdamW settings of the run the config text describes, in file order."""
-    try:
-        _, run = config_from_text(config_text)
-    except ConfigError as e:
-        raise FormatError(f"invalid config text: {e}") from None
+def _settings(run: RunConfig) -> tuple[float, ...]:
+    """The AdamW settings of `run`, in file order."""
     return run.lr, run.weight_decay, run.adam_beta1, run.adam_beta2, run.adam_eps
 
 
@@ -77,17 +77,43 @@ def _refuse(*problems: tuple[str, set[str]]) -> None:
             raise FormatError(f"checkpoint {problem}(s) {', '.join(map(repr, sorted(found)))}")
 
 
-def _check_moments(ck: Checkpoint) -> None:
-    """Moments, when the file holds them, for exactly the unfrozen tensors."""
+def _check(ck: Checkpoint) -> tuple[ModelConfig, RunConfig]:
+    """The configs of a valid checkpoint, else a FormatError naming its first fault:
+    a valid config text; the backbone, head and whole adapter groups, shaped as
+    the config implies; a freeze mask of held tensors; and moments for exactly
+    the unfrozen tensors, each with its tensor's shape and dtype."""
+    try:
+        cfg, run = config_from_text(ck.config_text)
+    except ConfigError as e:
+        raise FormatError(f"invalid config text: {e}") from None
+    names = ck.tensors.keys()
+    expected = B.param_shapes(cfg)
+    for group in (P.param_shapes(cfg), V.param_shapes(cfg)):
+        if group.keys() & names:
+            expected.update(group)
+    _refuse(("lacks tensor", expected.keys() - names),
+            ("has unexpected tensor", names - expected.keys()),
+            ("freezes unknown tensor", ck.frozen - names))
+    for name, shape in expected.items():
+        if ck.tensors[name].shape != shape:
+            raise FormatError(
+                f"tensor {name!r} has shape {ck.tensors[name].shape}, its config implies {shape}"
+            )
     if ck.optimizer is not None:
-        unfrozen, moments = ck.tensors.keys() - ck.frozen, ck.optimizer.m.keys()
-        _refuse(("has no moments for unfrozen tensor", unfrozen - moments),
-                ("has moments for frozen or unknown tensor", moments - unfrozen))
+        unfrozen = names - ck.frozen
+        for which, found in (("first", ck.optimizer.m), ("second", ck.optimizer.v)):
+            _refuse(("has no moments for unfrozen tensor", unfrozen - found.keys()),
+                    ("has moments for frozen or unknown tensor", found.keys() - unfrozen))
+            for name in sorted(unfrozen):
+                a, t = found[name], ck.tensors[name]
+                if a.shape != t.shape or a.dtype != t.dtype:
+                    raise FormatError(f"{which} moment {name!r} is {a.dtype} {a.shape}, "
+                                      f"its tensor {t.dtype} {t.shape}")
+    return cfg, run
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    settings = _settings(ck.config_text)  # a save writes only what a load accepts
-    _check_moments(ck)
+    _, run = _check(ck)
     out = bytearray()
     out += CKPT_MAGIC
     out += struct.pack("<I", CKPT_VERSION)
@@ -99,7 +125,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     out += struct.pack("<I", len(ck.tensors))
     for name in sorted(ck.tensors):
         _pack_name(out, name)
-        _pack_array(out, ck.tensors[name])
+        _pack_array(out, ck.tensors[name], f"tensor {name!r}")
 
     out += struct.pack("<I", len(ck.frozen))
     for name in sorted(ck.frozen):
@@ -109,16 +135,14 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         out += struct.pack("<B", 0)
     else:
         o = ck.optimizer
-        if sorted(o.m) != sorted(o.v):
-            raise FormatError("optimizer moment name sets differ")
         out += struct.pack("<B", 1)
-        out += struct.pack("<5d", *settings)
+        out += struct.pack("<5d", *_settings(run))
         out += struct.pack("<Q", o.t)
         out += struct.pack("<I", len(o.m))
         for name in sorted(o.m):
             _pack_name(out, name)
-            _pack_array(out, o.m[name])
-            _pack_array(out, o.v[name])
+            _pack_array(out, o.m[name], f"first moment {name!r}")
+            _pack_array(out, o.v[name], f"second moment {name!r}")
 
     out += struct.pack("<I", 1)
     _pack_name(out, _CURSOR)
@@ -191,7 +215,6 @@ def load_checkpoint(path) -> Checkpoint:
     text = r.text(text_len, "config text")
     if r.unpack("<I", "config hash") != zlib.crc32(text.encode("utf-8")):
         raise FormatError("config hash mismatch")
-    settings = _settings(text)
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I", "tensor count")):
@@ -200,12 +223,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     frozen = frozenset(r.name("freeze mask") for _ in range(r.unpack("<I", "freeze count")))
 
-    optimizer = None
+    optimizer = raw = None
     if r.unpack("<B", "optimizer flag"):
         raw = r.take(struct.calcsize("<5d"), "optimizer settings")
-        if raw != struct.pack("<5d", *settings):
-            raise FormatError(f"optimizer settings {struct.unpack('<5d', raw)} are not the config's "
-                              f"(lr, weight_decay, adam_beta1, adam_beta2, adam_eps) = {settings}")
         t = r.unpack("<Q", "optimizer step")
         m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
@@ -224,7 +244,12 @@ def load_checkpoint(path) -> Checkpoint:
     if cursors != [(_CURSOR, step)]:
         shown = ", ".join(f"{n}={c}" for n, c in cursors[:4]) + (", ..." if len(cursors) > 4 else "")
         raise FormatError(f"rng cursors [{shown}] are not the one cursor {_CURSOR}={step}")
-    return Checkpoint(text, tensors, frozen, optimizer, int(step))
+    ck = Checkpoint(text, tensors, frozen, optimizer, int(step))
+    settings = _settings(_check(ck)[1])
+    if raw is not None and raw != struct.pack("<5d", *settings):
+        raise FormatError(f"optimizer settings {struct.unpack('<5d', raw)} are not the config's "
+                          f"(lr, weight_decay, adam_beta1, adam_beta2, adam_eps) = {settings}")
+    return ck
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +290,9 @@ def snapshot(
     )
 
 
-def _check_tensors(cfg: ModelConfig, ck: Checkpoint) -> None:
-    """Names and shapes against the config: the backbone and head always,
-    each adapter group (domain prompts, latent generator) whole or not at all,
-    a freeze mask naming only tensors the file holds, and moments for exactly
-    the unfrozen tensors."""
-    names = ck.tensors.keys()
-    expected = B.param_shapes(cfg)
-    for group in (P.param_shapes(cfg), V.param_shapes(cfg)):
-        if group.keys() & names:
-            expected.update(group)
-    _refuse(("lacks tensor", expected.keys() - names),
-            ("has unexpected tensor", names - expected.keys()),
-            ("freezes unknown tensor", ck.frozen - names))
-    _check_moments(ck)
-    for name, shape in expected.items():
-        if ck.tensors[name].shape != shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {ck.tensors[name].shape}, its config implies {shape}"
-            )
-
-
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
-    cfg, run = config_from_text(ck.config_text)
-    _check_tensors(cfg.validate(), ck)
-    params = {
-        name: Tensor(arr, requires_grad=name not in ck.frozen)
-        for name, arr in ck.tensors.items()
-    }
+    cfg, run = _check(ck)
+    params = {n: Tensor(a, requires_grad=n not in ck.frozen) for n, a in ck.tensors.items()}
     return PromptedClassifier(cfg, params), run
 
 

@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import dataclasses
 import math
+import os
 import sys
 
 from .analysis import export_map, mean_similarity, model_similarity_map
@@ -33,7 +34,11 @@ def _load_config(path: str | None) -> tuple[ModelConfig, RunConfig]:
     if path is None:
         return default_config(), RunConfig()
     with open(path, encoding="utf-8") as f:
-        return config_from_text(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"config file {path} is not UTF-8 text") from None
+    return config_from_text(text)
 
 
 def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -54,6 +59,16 @@ def _check_classes(cfg: ModelConfig, num_classes: int) -> None:
         )
 
 
+def _check_out(out: str) -> None:
+    """Fail before training, not after it, when `out` is a directory or its
+    directory is missing."""
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"--out directory {parent} does not exist")
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"--out {out} is a directory")
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
     spec = preset(args.preset)
     ds = generate(spec, args.seed)
@@ -67,6 +82,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     run = _apply_overrides(run, args)
     ds = load_dataset(args.data)
     _check_classes(cfg, ds.num_classes)
+    _check_out(args.out)
     # nothing frozen here: the backbone itself is being trained
     model = PromptedClassifier.init(cfg, SeededStreams(run.seed))
     trainer = Trainer(model, run, ds)
@@ -89,6 +105,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     pre, _ = restore_model(load_checkpoint(args.backbone_ckpt))
     ds = load_dataset(args.data)
     _check_classes(cfg, ds.num_classes)
+    _check_out(args.out)
     model = PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(run.seed))
     train_ds, test_ds = split(ds, run.train_frac, run.seed)
     trainer = Trainer(model, run, train_ds)

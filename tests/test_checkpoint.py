@@ -5,33 +5,94 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2apt import checkpoint as C
 from v2apt import data as D
 from v2apt import trainer as TR
-from v2apt.config import ModelConfig, RunConfig, config_to_text, tiny_config
+from v2apt.cli import main
+from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
 from v2apt.errors import FormatError
 from v2apt.model import PromptedClassifier
 from v2apt.rng import SeededStreams
-from v2apt.tensor import Tensor
+from v2apt.tensor import Tensor, float64_mode
 
 
 def small_checkpoint() -> C.Checkpoint:
+    """A valid tiny-config snapshot: adapters on a frozen backbone, random
+    moments for the unfrozen tensors, optimizer step 7 and step 42."""
+    model = tuned()
     g = np.random.default_rng(0)
     opt = TR.AdamW()
     opt.t = 7
-    opt.m = {"head.w": g.standard_normal((4, 2)).astype(np.float32)}
-    opt.v = {"head.w": g.random((4, 2)).astype(np.float32)}
-    return C.Checkpoint(
-        config_text=config_to_text(tiny_config(), RunConfig()),
-        tensors={
-            "head.w": g.standard_normal((4, 2)).astype(np.float32),
-            "backbone.cls": g.standard_normal((1, 4)).astype(np.float32),
-        },
-        frozen=frozenset({"backbone.cls"}),
-        optimizer=opt,
-        step=42,
-    )
+    for name, p in model.trainables().items():
+        opt.m[name] = g.standard_normal(p.shape).astype(np.float32)
+        opt.v[name] = g.random(p.shape).astype(np.float32)
+    return C.snapshot(model, RunConfig(), opt, step=42)
+
+
+def assert_same_checkpoint(a: C.Checkpoint, b: C.Checkpoint) -> None:
+    assert (a.config_text, a.frozen, a.step) == (b.config_text, b.frozen, b.step)
+    assert (a.optimizer is None) == (b.optimizer is None)
+    groups = [(a.tensors, b.tensors)]
+    if a.optimizer is not None:
+        assert a.optimizer.t == b.optimizer.t
+        groups += [(a.optimizer.m, b.optimizer.m), (a.optimizer.v, b.optimizer.v)]
+    for x, y in groups:
+        assert x.keys() == y.keys()
+        for name in x:
+            assert x[name].dtype == y[name].dtype, name
+            np.testing.assert_array_equal(x[name], y[name])
+
+
+# ---------------------------------------------------------------------------
+# writing files that save refuses, as another writer could
+
+
+def _save_unchecked(ck: C.Checkpoint, path) -> None:
+    """Save `ck` as another writer could: `_check` cut down to the config
+    parse that the optimizer settings need."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_check", lambda ck: config_from_text(ck.config_text))
+        C.save_checkpoint(ck, path)
+
+
+def _reseal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _checkpoint_fields(path) -> list[tuple[int, int, str]]:
+    """(offset, length, label) of every field of a .v2ap before its footer."""
+    fields = [(0, 4, "magic"), (4, 4, "version")]  # checked before the reader starts
+    take = C._Reader.take
+
+    def recording(self, n, what):
+        fields.append((self.at, n, what))
+        return take(self, n, what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C._Reader, "take", recording)
+        C.load_checkpoint(path)
+    return fields
+
+
+def _write_over(path, what: str, arr: np.ndarray) -> None:
+    """Put `arr`'s bytes in place of the data a load reads as `what`, re-sealed."""
+    [(at, n)] = [(at, n) for at, n, label in _checkpoint_fields(path) if label == f"{what} data"]
+    raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    assert len(raw) == n
+    body = path.read_bytes()[:-4]
+    path.write_bytes(_reseal(body[:at] + raw + body[at + n:]))
+
+
+def _with_config_text(blob: bytes, old: str, new: str) -> bytes:
+    """`blob` with `old` replaced in its config text, both checksums re-sealed."""
+    text_len = struct.unpack_from("<I", blob, 8)[0]
+    text = blob[12:12 + text_len].decode().replace(old, new).encode()
+    assert len(text) == text_len + len(new) - len(old)
+    head = blob[:8] + struct.pack("<I", len(text)) + text + struct.pack("<I", zlib.crc32(text))
+    return _reseal(head + blob[12 + text_len + 4:-4])
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -48,15 +109,9 @@ def test_all_fields_survive_round_trip(tmp_path):
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
     back = C.load_checkpoint(p)
-    assert back.config_text == ck.config_text
-    assert back.frozen == ck.frozen
-    assert back.step == 42
-    for name in ck.tensors:
-        np.testing.assert_array_equal(back.tensors[name], ck.tensors[name])
-        assert back.tensors[name].dtype == ck.tensors[name].dtype
-    assert back.optimizer.t == 7
-    np.testing.assert_array_equal(back.optimizer.m["head.w"], ck.optimizer.m["head.w"])
-    np.testing.assert_array_equal(back.optimizer.v["head.w"], ck.optimizer.v["head.w"])
+    assert (back.step, back.optimizer.t) == (42, 7)
+    assert back.frozen and back.frozen < back.tensors.keys()
+    assert_same_checkpoint(back, ck)
 
 
 def test_optimizer_absent_round_trips(tmp_path):
@@ -68,14 +123,12 @@ def test_optimizer_absent_round_trips(tmp_path):
 
 
 def test_float64_tensors_round_trip(tmp_path):
-    ck = small_checkpoint()
-    ck.tensors["wide"] = np.random.default_rng(1).standard_normal(5)  # float64
-    ck.frozen = ck.frozen | {"wide"}  # the moments cover only the unfrozen head.w
+    with float64_mode():
+        ck = C.snapshot(tuned(), RunConfig(), TR.AdamW(), step=3)
+    assert {a.dtype for a in ck.tensors.values()} == {np.dtype(np.float64)}
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
-    back = C.load_checkpoint(p)
-    assert back.tensors["wide"].dtype == np.float64
-    np.testing.assert_array_equal(back.tensors["wide"], ck.tensors["wide"])
+    assert_same_checkpoint(C.load_checkpoint(p), ck)
 
 
 @pytest.mark.parametrize("section, what", [
@@ -89,7 +142,11 @@ def test_non_finite_array_named(tmp_path, section, what, bad):
     arrays = ck.tensors if section == "tensors" else getattr(ck.optimizer, section)
     arrays["head.w"][1, 0] = bad
     p = tmp_path / "ck.v2ap"
-    C.save_checkpoint(ck, p)
+    with pytest.raises(FormatError, match=f"non-finite value in {what}"):
+        C.save_checkpoint(ck, p)
+    assert not p.exists()
+    C.save_checkpoint(small_checkpoint(), p)
+    _write_over(p, what, arrays["head.w"])
     with pytest.raises(FormatError, match=f"non-finite value in {what}"):
         C.load_checkpoint(p)
 
@@ -280,12 +337,10 @@ def test_resume_from_moments_missing_an_unfrozen_tensor_is_refused(tmp_path):
     with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
         C.save_checkpoint(ck, p)
     assert not p.exists()
-    with pytest.MonkeyPatch.context() as mp:  # as another writer could
-        mp.setattr(C, "_check_moments", lambda ck: None)
-        C.save_checkpoint(ck, p)
-    loaded = C.load_checkpoint(p)
-    with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
-        C.restore_model(loaded)
+    _save_unchecked(ck, p)
+    for apply in (C.load_checkpoint, lambda p: C.restore_model(ck)):
+        with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
+            apply(p)
 
 
 def test_optimizer_settings_are_written_from_the_config_text(tmp_path):
@@ -308,3 +363,114 @@ def test_save_refuses_an_invalid_config_text(tmp_path, with_optimizer):
     with pytest.raises(FormatError, match="invalid config text: depth must be >= 1"):
         C.save_checkpoint(ck, tmp_path / "ck.v2ap")
     assert not (tmp_path / "ck.v2ap").exists()
+
+
+# ---------------------------------------------------------------------------
+# save and load accept the same files
+
+
+_CONFIG_EDITS = [  # (old line, new line) in the tiny config text
+    ("depth = 2\n", "depth = 0\n"),
+    ("dim = 16\n", "dim = 15\n"),
+    ("lr = 0.001\n", "lr = nan\n"),
+    ("seed = 0\n", "seed = 0\nbogus = 1\n"),
+    ("num_classes = 3\n", "num_classes = 5\n"),  # valid, but not the tensors' config
+    ("lr = 0.001\n", "lr = 0.002\n"),  # valid: a save writes the settings it implies
+]
+
+
+def _save_then(patch):
+    """A writer that saves the unchanged snapshot, then patches its bytes."""
+    def write(p):
+        C.save_checkpoint(small_checkpoint(), p)
+        patch(p)
+    return write
+
+
+def _mutate(ck: C.Checkpoint, draw):
+    """Apply one drawn change to `ck`. Return None, or a writer of the changed
+    file when save cannot be made to write it: non-finite values and config
+    texts go in as patched bytes."""
+    o, names = ck.optimizer, sorted(ck.tensors)
+    unfrozen = sorted(ck.tensors.keys() - ck.frozen)
+    kind = draw(st.sampled_from([
+        "drop tensor", "add tensor", "drop adapter group", "drop optimizer", "drop moment",
+        "add moment", "moment shape", "moment dtype", "finite value", "non-finite value",
+        "freeze stray name", "config text", "step",
+    ]))
+    if kind == "drop tensor":
+        name = draw(st.sampled_from(names))
+        del ck.tensors[name]
+        if draw(st.booleans()):
+            o.m.pop(name, None)
+            o.v.pop(name, None)
+    elif kind == "add tensor":
+        name = draw(st.sampled_from(["backbone.extra", "prompts.9", "vae.enc.w3"]))
+        ck.tensors[name] = np.zeros(3, np.float32)
+        if draw(st.booleans()):
+            o.m[name] = o.v[name] = np.zeros(3, np.float32)
+    elif kind == "drop adapter group":  # valid: each group goes whole
+        prefix = draw(st.sampled_from(["prompts.", "vae."]))
+        for name in (n for n in names if n.startswith(prefix)):
+            del ck.tensors[name], o.m[name], o.v[name]
+    elif kind == "drop optimizer":  # valid
+        ck.optimizer = None
+    elif kind == "drop moment":
+        name = draw(st.sampled_from(unfrozen))
+        del o.m[name], o.v[name]
+    elif kind == "add moment":
+        name = draw(st.sampled_from(sorted(ck.frozen) + ["backbone.extra"]))
+        o.m[name] = o.v[name] = np.zeros(3, np.float32)
+    elif kind in ("moment shape", "moment dtype"):
+        moments, name = draw(st.sampled_from([o.m, o.v])), draw(st.sampled_from(unfrozen))
+        a = moments[name]
+        reshaped = [a.reshape(-1)[:1], a[None], a.reshape(-1)[:0]]
+        moments[name] = (a.astype(np.float64) if kind == "moment dtype"
+                         else draw(st.sampled_from(reshaped)))
+    elif kind in ("finite value", "non-finite value"):
+        section = draw(st.sampled_from(["tensor", "first moment", "second moment"]))
+        arrays = {"tensor": ck.tensors, "first moment": o.m, "second moment": o.v}[section]
+        name = draw(st.sampled_from(sorted(arrays)))
+        a = arrays[name] = arrays[name].copy()
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(
+            st.floats(width=32, allow_nan=False, allow_infinity=False) if kind == "finite value"
+            else st.sampled_from([np.nan, np.inf, -np.inf]))
+        if kind == "non-finite value":
+            return _save_then(lambda p: _write_over(p, f"{section} {name!r}", a))
+    elif kind == "freeze stray name":
+        ck.frozen = ck.frozen | {draw(st.sampled_from(["backbone.no_such", "", "head.w"]))}
+    elif kind == "config text":
+        old, new = draw(st.sampled_from(_CONFIG_EDITS))
+        ck.config_text = ck.config_text.replace(old, new)
+        return _save_then(lambda p: p.write_bytes(_with_config_text(p.read_bytes(), old, new)))
+    else:  # valid: any step the file's u64 holds
+        ck.step = draw(st.integers(0, 2**64 - 1))
+    return None
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_save_and_load_refuse_the_same_checkpoints(tmp_path_factory, data):
+    """A checkpoint that saves loads back equal and re-saves byte for byte; one
+    that save refuses, written anyway, load refuses with the same message."""
+    d = tmp_path_factory.mktemp("mutated")
+    ck = small_checkpoint()
+    write = _mutate(ck, data.draw)
+    p = d / "ck.v2ap"
+    try:
+        C.save_checkpoint(ck, p)
+    except FormatError as e:
+        refused = str(e)
+    else:
+        back = C.load_checkpoint(p)
+        assert_same_checkpoint(back, ck)
+        C.save_checkpoint(back, d / "again.v2ap")
+        assert (d / "again.v2ap").read_bytes() == p.read_bytes()
+        return
+    assert not p.exists()
+    (write or (lambda p: _save_unchecked(ck, p)))(p)
+    with pytest.raises(FormatError) as loaded:
+        C.load_checkpoint(p)
+    assert str(loaded.value) == refused
+    D.save_dataset(D.generate(D.TaskSpec(classes=3, per_class=1), seed=0), d / "d.v2ds")
+    assert main(["eval", "--ckpt", str(p), "--data", str(d / "d.v2ds")]) == 3

@@ -5,18 +5,25 @@ and captured output without subprocess overhead; one test exercises the real
 `python -m` entry point.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import types
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from v2apt import checkpoint as C
+from test_checkpoint import (_checkpoint_fields, _reseal, _save_unchecked, _with_config_text,
+                             _write_over)
 from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
@@ -125,9 +132,14 @@ def test_missing_data_file_exits_3(workdir, tmp_path):
 def test_checkpoint_with_nan_parameter_exits_3(workdir, tmp_path, capsys):
     ck = load_checkpoint(workdir / "tuned.v2ap")
     ck.tensors["prompts.1"][0, 0] = np.nan
-    save_checkpoint(ck, tmp_path / "nan.v2ap")
+    bad = tmp_path / "nan.v2ap"
+    with pytest.raises(FormatError, match="non-finite value in tensor 'prompts.1'"):
+        save_checkpoint(ck, bad)
+    assert not bad.exists()
+    bad.write_bytes((workdir / "tuned.v2ap").read_bytes())
+    _write_over(bad, "tensor 'prompts.1'", ck.tensors["prompts.1"])
     capsys.readouterr()
-    rc = main(["eval", "--ckpt", str(tmp_path / "nan.v2ap"), "--data", str(workdir / "easy.v2ds")])
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(workdir / "easy.v2ds")])
     err = capsys.readouterr().err
     assert rc == 3
     assert "non-finite value in tensor 'prompts.1'" in err
@@ -136,9 +148,6 @@ def test_checkpoint_with_nan_parameter_exits_3(workdir, tmp_path, capsys):
 
 def _drop_patch_weight(ck):
     del ck.tensors["backbone.patch.w"]
-    if ck.optimizer is not None:  # keep the moments to the unfrozen tensors
-        ck.optimizer.m.pop("backbone.patch.w", None)
-        ck.optimizer.v.pop("backbone.patch.w", None)
 
 
 def _misshape_head(ck):
@@ -147,8 +156,6 @@ def _misshape_head(ck):
 
 def _add_stray_tensor(ck):
     ck.tensors["backbone.extra"] = np.zeros(3, dtype=np.float32)
-    if ck.optimizer is not None:  # keep the moments to the unfrozen tensors
-        ck.optimizer.m["backbone.extra"] = ck.optimizer.v["backbone.extra"] = np.zeros(3, np.float32)
 
 
 def _freeze_stray_name(ck):
@@ -164,12 +171,15 @@ def _freeze_stray_name(ck):
 @pytest.mark.parametrize("command", ["eval", "tune"])
 def test_checkpoint_disagreeing_with_its_config_exits_3(workdir, tmp_path, capsys,
                                                         corrupt, message, command):
-    # CRC-valid files whose tensors or freeze mask do not fit their own config
+    # CRC-valid files whose tensors or freeze mask do not fit their own config:
+    # the tensor checks come before the moment checks, so these moments need no edit
     source = "tuned.v2ap" if command == "eval" else "pre.v2ap"
     ck = load_checkpoint(workdir / source)
     corrupt(ck)
     bad = tmp_path / "bad.v2ap"
-    save_checkpoint(ck, bad)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        save_checkpoint(ck, bad)
+    _save_unchecked(ck, bad)
     data = str(workdir / "easy.v2ds")
     if command == "eval":
         argv = ["eval", "--ckpt", str(bad), "--data", data]
@@ -185,10 +195,6 @@ def test_checkpoint_disagreeing_with_its_config_exits_3(workdir, tmp_path, capsy
     assert not (tmp_path / "t.v2ap").exists()
 
 
-def _reseal(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
 def _eval(ckpt, data) -> int:
     return main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
 
@@ -201,37 +207,38 @@ def _add_frozen_moments(ck):
     ck.optimizer.m["backbone.cls"] = ck.optimizer.v["backbone.cls"] = ck.tensors["backbone.cls"]
 
 
+def _shrink_head_b_moment(ck):  # the first AdamW step would broadcast it
+    ck.optimizer.m["head.b"] = ck.optimizer.m["head.b"][:1].copy()
+
+
+def _widen_head_w_moment(ck):
+    ck.optimizer.v["head.w"] = ck.optimizer.v["head.w"].astype(np.float64)
+
+
 @pytest.mark.parametrize("source, corrupt, message", [
     ("tuned.v2ap", _drop_head_b_moments, "has no moments for unfrozen tensor(s) 'head.b'"),
     ("tuned.v2ap", _add_frozen_moments, "has moments for frozen or unknown tensor(s) 'backbone.cls'"),
     # the tensor checks come first: this file also has moments for the dropped tensor
     ("pre.v2ap", lambda ck: ck.tensors.pop("backbone.patch.w"), "lacks tensor(s) 'backbone.patch.w'"),
+    ("tuned.v2ap", _shrink_head_b_moment,
+     "first moment 'head.b' is float32 (1,), its tensor float32 (3,)"),
+    ("tuned.v2ap", _widen_head_w_moment,
+     "second moment 'head.w' is float64 (16, 3), its tensor float32 (16, 3)"),
 ])
 def test_checkpoint_moments_other_than_the_unfrozen_tensors_exit_3(workdir, tmp_path, capsys,
                                                                     source, corrupt, message):
     ck = load_checkpoint(workdir / source)
     corrupt(ck)
     bad = tmp_path / "bad.v2ap"
-    with pytest.raises(FormatError, match="moments"):
+    with pytest.raises(FormatError, match=re.escape(message)):
         save_checkpoint(ck, bad)
     assert not bad.exists()
-    with pytest.MonkeyPatch.context() as mp:  # as another writer could
-        mp.setattr(C, "_check_moments", lambda ck: None)
-        save_checkpoint(ck, bad)
+    _save_unchecked(ck, bad)
     capsys.readouterr()
     assert _eval(bad, workdir / "easy.v2ds") == 3
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
-
-
-def _with_config_text(blob: bytes, old: str, new: str) -> bytes:
-    """`blob` with `old` replaced in its config text, both checksums re-sealed."""
-    text_len = struct.unpack_from("<I", blob, 8)[0]
-    text = blob[12:12 + text_len].decode().replace(old, new).encode()
-    assert len(text) == text_len + len(new) - len(old)
-    head = blob[:8] + struct.pack("<I", len(text)) + text + struct.pack("<I", zlib.crc32(text))
-    return _reseal(head + blob[12 + text_len + 4:-4])
 
 
 @pytest.mark.parametrize("command", ["eval", "tune"])
@@ -346,21 +353,6 @@ def test_rng_cursor_other_than_the_step_exits_3(workdir, tmp_path, capsys, curso
     assert "rng cursors" in capsys.readouterr().err
 
 
-def _checkpoint_fields(path) -> list[tuple[int, int]]:
-    """(offset, length) of every field of a .v2ap before its footer."""
-    fields = [(0, 4), (4, 4)]  # magic and version, checked before the reader starts
-    take = C._Reader.take
-
-    def recording(self, n, what):
-        fields.append((self.at, n))
-        return take(self, n, what)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C._Reader, "take", recording)
-        load_checkpoint(path)
-    return fields
-
-
 def _dataset_fields(path) -> list[tuple[int, int]]:
     """(offset, length) of every field of a .v2ds before its footer."""
     b, h, w, c_in = struct.unpack_from("<4I", path.read_bytes(), 8)
@@ -388,8 +380,9 @@ def test_damaged_files_exit_with_a_code_never_a_traceback(workdir, tmp_path):
     save_dataset(generate(TaskSpec(classes=3, per_class=2), seed=0), data)
     damaged_ckpt, damaged_data = tmp_path / "damaged.v2ap", tmp_path / "damaged.v2ds"
     problems, runs = [], 0
+    ckpt_fields = [(at, n) for at, n, _ in _checkpoint_fields(ckpt)]
     for good, fields, damaged, argv in (
-        (ckpt, _checkpoint_fields(ckpt), damaged_ckpt, (damaged_ckpt, data)),
+        (ckpt, ckpt_fields, damaged_ckpt, (damaged_ckpt, data)),
         (data, _dataset_fields(data), damaged_data, (ckpt, damaged_data)),
     ):
         for label, blob in _damaged_copies(good.read_bytes(), fields):
@@ -453,6 +446,24 @@ def test_unwritable_output_exits_3(workdir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["pretrain", "tune"])
+@pytest.mark.parametrize("out", ["no_such_dir/t.v2ap", "."])
+def test_unwritable_out_exits_3_before_training(workdir, tmp_path, capsys, monkeypatch,
+                                                command, out):
+    monkeypatch.setattr("v2apt.cli.Trainer.train", lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / out
+    argv = [command, "--config", str(workdir / "cfg.txt"), "--data", str(workdir / "easy.v2ds"),
+            "--out", str(out)]
+    if command == "tune":
+        argv += ["--backbone-ckpt", str(workdir / "pre.v2ap"), "--method", "v2apt"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_simmap_index_exits_2(workdir, tmp_path):
     rc = main(["simmap", "--ckpt", str(workdir / "tuned.v2ap"),
                "--data", str(workdir / "easy.v2ds"),
@@ -482,6 +493,68 @@ def test_argparse_rejects_unknown_method(workdir, tmp_path):
               "--data", str(workdir / "easy.v2ds"),
               "--method", "adapter", "--out", str(tmp_path / "t.v2ap")])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(workdir, tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    body = (workdir / "tuned.v2ap").read_bytes()[:-4]
+    (d / "damaged.v2ap").write_bytes(_reseal(body[:len(body) // 2]))
+    return d
+
+
+def _fuzz_argv(draw, workdir, d) -> list[str]:
+    """A subcommand with its required flags, `--steps` and some optional flags.
+    Each value is the first of its list half the time, so that some runs get
+    past the early checks, and else any of a small set likely to break it."""
+    nums = ["1", "nan", "-1", "0", "2", str(2**70)]
+    missing, damaged = str(d / "missing.v2ap"), str(d / "damaged.v2ap")
+    files = {
+        "ckpt": [str(workdir / "tuned.v2ap"), str(workdir / "pre.v2ap"), damaged, missing,
+                 str(workdir / "easy.v2ds")],
+        "data": [str(workdir / "easy.v2ds"), damaged, missing],
+        "config": [str(workdir / "cfg.txt"), damaged, missing],
+        "out": [str(d / "out"), str(d / "no_such_dir" / "out"), str(d)],
+    }
+    steps = nums[:5]  # at most 2, so that no run trains for long
+    flags = {
+        "gen-data": {"--preset": ["easy-3", "nope"], "--seed": nums, "--out": files["out"]},
+        "pretrain": {"--config": files["config"], "--data": files["data"], "--out": files["out"],
+                     "--steps": steps, "--seed": nums, "--batch-size": nums},
+        "tune": {"--config": files["config"], "--backbone-ckpt": files["ckpt"],
+                 "--data": files["data"], "--method": ["v2apt", "vpt", "nan"],
+                 "--out": files["out"], "--train-frac": ["0.5", "nan", "-1", "0", "1"],
+                 "--steps": steps, "--seed": nums, "--batch-size": nums},
+        "eval": {"--ckpt": files["ckpt"], "--data": files["data"]},
+        "gradcheck": {"--config": files["config"], "--seed": nums, "--tol": nums},
+        "simmap": {"--ckpt": files["ckpt"], "--data": files["data"], "--index": nums,
+                   "--layer": nums, "--out": files["out"], "--format": ["csv", "pgm", "nan"]},
+    }
+    always = {"--preset", "--ckpt", "--backbone-ckpt", "--data", "--method", "--out", "--steps"}
+    command = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, values in flags[command].items():
+        if flag in always or draw(st.booleans()):
+            argv += [flag, draw(st.one_of(st.just(values[0]), st.sampled_from(values)))]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_flags_exit_with_a_code_never_a_traceback(workdir, fuzz_dir, data):
+    argv = _fuzz_argv(data.draw, workdir, fuzz_dir)
+    out, err = io.StringIO(), io.StringIO()
+    # the gradient check itself takes seconds: test_gradcheck_subcommand_passes runs it
+    passed = types.SimpleNamespace(passed=True, summary=lambda: "all gradients verified")
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.setattr("v2apt.cli.full_model_check", lambda *a, **k: passed)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def _child(argv: list[str]) -> subprocess.CompletedProcess:
