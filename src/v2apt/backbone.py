@@ -52,7 +52,6 @@ def init_backbone(cfg: ModelConfig, streams: SeededStreams) -> Params:
     embeddings at N(0, 0.02^2), and every matrix Xavier-uniform; the head
     draws from its own stream.
     """
-    cfg.validate()
     rng, head_rng = streams.generator("init.backbone"), streams.generator("init.head")
     p: Params = {}
     for name, shape in param_shapes(cfg).items():

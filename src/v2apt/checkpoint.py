@@ -4,11 +4,13 @@ Little-endian layout: magic "V2AP", version, the canonical config text with
 its own CRC32, sorted named tensor records (name, dtype tag, rank, extents,
 raw bytes), the freeze-mask name list, optimizer settings and moment buffers,
 named RNG cursors, the step counter, and a CRC32 footer over every preceding
-byte. Sorting all name-keyed sections makes save -> load -> save reproduce the
-file byte for byte. A save writes the optimizer settings from the config text
-and the one RNG cursor, `eps`, from the step; a load checks both. Save, load
-and `restore_model` apply one check, `_check`, so a save writes exactly the
-files a load accepts; each array is checked finite where it meets the bytes.
+byte. A `Checkpoint` holds the configs, which a save writes as text and a
+load parses once, refusing text that is not canonical; with the sorted name
+sections, save -> load -> save reproduces an accepted file byte for byte. A
+save writes the optimizer settings from the run config and the one RNG
+cursor, `eps`, from the step; a load checks both. Save, load and
+`restore_model` apply one check, `_check`, so a save writes exactly the files
+a load accepts; each array is checked finite where it meets the bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 @dataclass
 class Checkpoint:
-    config_text: str
+    cfg: ModelConfig
+    run: RunConfig
     tensors: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
     optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
@@ -77,18 +80,14 @@ def _refuse(*problems: tuple[str, set[str]]) -> None:
             raise FormatError(f"checkpoint {problem}(s) {', '.join(map(repr, sorted(found)))}")
 
 
-def _check(ck: Checkpoint) -> tuple[ModelConfig, RunConfig]:
-    """The configs of a valid checkpoint, else a FormatError naming its first fault:
-    a valid config text; the backbone, head and whole adapter groups, shaped as
-    the config implies; a freeze mask of held tensors; and moments for exactly
-    the unfrozen tensors, each with its tensor's shape and dtype."""
-    try:
-        cfg, run = config_from_text(ck.config_text)
-    except ConfigError as e:
-        raise FormatError(f"invalid config text: {e}") from None
+def _check(ck: Checkpoint) -> None:
+    """A FormatError naming the first fault of an invalid checkpoint: the
+    backbone, head and whole adapter groups, shaped as the config implies; a
+    freeze mask of held tensors; and moments for exactly the unfrozen tensors,
+    each with its tensor's shape and dtype."""
     names = ck.tensors.keys()
-    expected = B.param_shapes(cfg)
-    for group in (P.param_shapes(cfg), V.param_shapes(cfg)):
+    expected = B.param_shapes(ck.cfg)
+    for group in (P.param_shapes(ck.cfg), V.param_shapes(ck.cfg)):
         if group.keys() & names:
             expected.update(group)
     _refuse(("lacks tensor", expected.keys() - names),
@@ -109,15 +108,14 @@ def _check(ck: Checkpoint) -> tuple[ModelConfig, RunConfig]:
                 if a.shape != t.shape or a.dtype != t.dtype:
                     raise FormatError(f"{which} moment {name!r} is {a.dtype} {a.shape}, "
                                       f"its tensor {t.dtype} {t.shape}")
-    return cfg, run
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    _, run = _check(ck)
+    _check(ck)
     out = bytearray()
     out += CKPT_MAGIC
     out += struct.pack("<I", CKPT_VERSION)
-    text = ck.config_text.encode("utf-8")
+    text = config_to_text(ck.cfg, ck.run).encode("utf-8")
     out += struct.pack("<I", len(text))
     out += text
     out += struct.pack("<I", zlib.crc32(text))
@@ -136,7 +134,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     else:
         o = ck.optimizer
         out += struct.pack("<B", 1)
-        out += struct.pack("<5d", *_settings(run))
+        out += struct.pack("<5d", *_settings(ck.run))
         out += struct.pack("<Q", o.t)
         out += struct.pack("<I", len(o.m))
         for name in sorted(o.m):
@@ -244,8 +242,15 @@ def load_checkpoint(path) -> Checkpoint:
     if cursors != [(_CURSOR, step)]:
         shown = ", ".join(f"{n}={c}" for n, c in cursors[:4]) + (", ..." if len(cursors) > 4 else "")
         raise FormatError(f"rng cursors [{shown}] are not the one cursor {_CURSOR}={step}")
-    ck = Checkpoint(text, tensors, frozen, optimizer, int(step))
-    settings = _settings(_check(ck)[1])
+    try:
+        cfg, run = config_from_text(text)
+    except ConfigError as e:
+        raise FormatError(f"invalid config text: {e}") from None
+    if config_to_text(cfg, run) != text:
+        raise FormatError("config text is not canonical: a save would write it differently")
+    ck = Checkpoint(cfg, run, tensors, frozen, optimizer, int(step))
+    _check(ck)
+    settings = _settings(run)
     if raw is not None and raw != struct.pack("<5d", *settings):
         raise FormatError(f"optimizer settings {struct.unpack('<5d', raw)} are not the config's "
                           f"(lr, weight_decay, adam_beta1, adam_beta2, adam_eps) = {settings}")
@@ -282,7 +287,8 @@ def snapshot(
                 opt.m[name] = np.zeros_like(p.data)
                 opt.v[name] = np.zeros_like(p.data)
     return Checkpoint(
-        config_text=config_to_text(model.cfg, run),
+        cfg=model.cfg,
+        run=run,
         tensors={n: p.data.copy() for n, p in model.params.items()},
         frozen=model.frozen,
         optimizer=opt,
@@ -291,9 +297,9 @@ def snapshot(
 
 
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
-    cfg, run = _check(ck)
+    _check(ck)
     params = {n: Tensor(a, requires_grad=n not in ck.frozen) for n, a in ck.tensors.items()}
-    return PromptedClassifier(cfg, params), run
+    return PromptedClassifier(ck.cfg, params), ck.run
 
 
 def restore_optimizer(ck: Checkpoint) -> AdamW | None:

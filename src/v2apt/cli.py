@@ -42,14 +42,11 @@ def _load_config(path: str | None) -> tuple[ModelConfig, RunConfig]:
 
 
 def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
-    changes = {}
-    if getattr(args, "steps", None) is not None:
-        changes["steps"] = args.steps
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "batch_size", None) is not None:
-        changes["batch_size"] = args.batch_size
-    return dataclasses.replace(run, **changes) if changes else run
+    """`run` with each run flag given on the command line; an invalid value
+    fails here, before any file is read."""
+    flags = ("steps", "seed", "batch_size", "train_frac")
+    return dataclasses.replace(run, **{k: getattr(args, k) for k in flags
+                                       if getattr(args, k, None) is not None})
 
 
 def _check_classes(cfg: ModelConfig, num_classes: int) -> None:
@@ -98,8 +95,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     cfg, run = _load_config(args.config)
     run = _apply_overrides(run, args)
-    if args.train_frac is not None:
-        run = dataclasses.replace(run, train_frac=args.train_frac)
     if args.method == "vpt":
         cfg = dataclasses.replace(cfg, prompt_inst=0)
     pre, _ = restore_model(load_checkpoint(args.backbone_ckpt))

@@ -1,8 +1,9 @@
 """Architecture and run configuration with a canonical text form.
 
-Configs serialize to key-sorted "key = value" lines. The same text is embedded
-in checkpoints and hashed (CRC32), so parsing then serializing must be a fixed
-point: ints print in decimal, floats via repr (shortest round-trip form).
+Configs are immutable values checked when built, `dataclasses.replace` too.
+Their text, key-sorted "key = value" lines, exists only in `--config` files
+and checkpoints; parsing then serializing is a fixed point: ints print in
+decimal, floats via repr (shortest round-trip form).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters.
 
@@ -52,7 +53,7 @@ class ModelConfig:
     def prompt_dom(self) -> int:
         return self.prompt_len - self.prompt_inst
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self) -> None:
         if self.image_size <= 0 or self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -75,10 +76,9 @@ class ModelConfig:
             raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if self.vae_hidden < 1:
             raise ConfigError(f"vae_hidden must be >= 1, got {self.vae_hidden}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Optimization and reproducibility settings for one training run."""
 
@@ -93,7 +93,7 @@ class RunConfig:
     kl_beta: float = 1e-3
     train_frac: float = 0.8
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**32:  # the bound SeededStreams enforces
             raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.batch_size < 1:
@@ -115,7 +115,6 @@ class RunConfig:
             raise ConfigError(f"kl_beta must be finite and >= 0, got {self.kl_beta}")
         if not 0 < self.train_frac < 1:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        return self
 
 
 def _field_types(cls) -> dict[str, type]:
@@ -129,17 +128,20 @@ assert not _OVERLAP, f"config field names collide: {_OVERLAP}"
 
 
 def config_to_text(model: ModelConfig, run: RunConfig) -> str:
-    """Canonical flat text form: one sorted "key = value" line per field."""
-    items = {f.name: getattr(model, f.name) for f in fields(model)}
-    items.update({f.name: getattr(run, f.name) for f in fields(run)})
-    return "".join(f"{k} = {items[k]!r}\n" for k in sorted(items))
+    """Canonical flat text form: one sorted "key = value" line per field, each
+    value written as the type it parses back to, so `lr=1` writes `lr = 1.0`."""
+    items = {k: (getattr(model, k), ftype) for k, ftype in _MODEL_FIELDS.items()}
+    items.update({k: (getattr(run, k), ftype) for k, ftype in _RUN_FIELDS.items()})
+    for k, (v, ftype) in items.items():
+        if ftype(v) != v:
+            raise ConfigError(f"{k} = {v!r} is not {ftype.__name__}")
+    return "".join(f"{k} = {ftype(v)!r}\n" for k, (v, ftype) in sorted(items.items()))
 
 
 def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:
     """Parse the text form; unknown or repeated keys are rejected by name."""
-    model = ModelConfig()
-    run = RunConfig()
-    seen: set[str] = set()
+    model: dict[str, int | float] = {}
+    run: dict[str, int | float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -147,9 +149,8 @@ def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in seen:
+        if key in model or key in run:
             raise ConfigError(f"repeated key {key!r}")
-        seen.add(key)
         if key in _MODEL_FIELDS:
             target, ftype = model, _MODEL_FIELDS[key]
         elif key in _RUN_FIELDS:
@@ -157,12 +158,10 @@ def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:
         else:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(target, key, ftype(value))
+            target[key] = ftype(value)
         except ValueError as e:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} as {ftype.__name__}") from e
-    model.validate()
-    run.validate()
-    return model, run
+    return ModelConfig(**model), RunConfig(**run)
 
 
 def tiny_config() -> ModelConfig:

@@ -13,6 +13,7 @@ and a CRC32 footer over everything before it.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -33,7 +34,7 @@ _CHANNELS = 1  # grayscale
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Procedural task description; all shift rates live in [0, 1]."""
+    """Procedural task description, checked when built; all shift rates live in [0, 1]."""
 
     classes: int = 3
     per_class: int = 64
@@ -42,18 +43,17 @@ class TaskSpec:
     frequency: float = 0.0
     occlusion: float = 0.0
 
-    def validate(self) -> "TaskSpec":
+    def __post_init__(self) -> None:
         if self.classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.classes}")
         if self.per_class < 1:
             raise ValidationError(f"per_class must be >= 1, got {self.per_class}")
-        if self.noise < 0:
-            raise ValidationError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:  # NaN fails the range too
+            raise ValidationError(f"noise must be finite and >= 0, got {self.noise}")
         for name in ("brightness", "frequency", "occlusion"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
-        return self
 
 
 @dataclass
@@ -139,7 +139,6 @@ def generate(spec: TaskSpec, seed: int) -> Dataset:
     Pixel noise and occlusion draws come from one named stream, so the same
     (spec, seed) pair always produces bit-identical data.
     """
-    spec.validate()
     rng = SeededStreams(seed).generator("data")
     s = _CANVAS
     images = np.empty((spec.classes * spec.per_class, s, s, _CHANNELS), dtype=np.float32)
@@ -261,8 +260,8 @@ def split(ds: Dataset, train_frac: float, seed: int) -> tuple[Dataset, Dataset]:
 
     def take(idx: np.ndarray, tag: str) -> Dataset:
         return Dataset(
-            ds.images[idx].copy(),
-            ds.labels[idx].copy(),
+            ds.images[idx],  # advanced indexing copies
+            ds.labels[idx],
             ds.num_classes,
             ds.seed,
             descriptor=f"{ds.descriptor} [{tag}]",

@@ -46,7 +46,7 @@ class PromptedClassifier:
     """Parameter container plus the prompted forward pass."""
 
     def __init__(self, cfg: ModelConfig, params: Params):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.params = params
 
     # -- construction ------------------------------------------------------

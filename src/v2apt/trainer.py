@@ -131,7 +131,6 @@ class Trainer:
         step: int = 0,
         optimizer: AdamW | None = None,
     ):
-        run.validate()
         if len(dataset) < run.batch_size:
             raise ValidationError(
                 f"dataset of {len(dataset)} samples is smaller than batch_size {run.batch_size}"
@@ -179,7 +178,7 @@ class Trainer:
             m = self.train_step()
             at_epoch_end = self.step % self.steps_per_epoch == 0
             if at_epoch_end or self.step == target:
-                m.accuracy = evaluate(self.model, eval_dataset or self.dataset)
+                m.accuracy = evaluate(self.model, self.dataset if eval_dataset is None else eval_dataset)
         return self.history
 
     def write_metrics(self, path) -> None:

@@ -1,5 +1,8 @@
 """Checkpoint format: byte-exact round trips, fault injection, exact resume."""
 
+import dataclasses
+import math
+import re
 import struct
 import zlib
 
@@ -13,7 +16,7 @@ from v2apt import data as D
 from v2apt import trainer as TR
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
-from v2apt.errors import FormatError
+from v2apt.errors import ConfigError, FormatError
 from v2apt.model import PromptedClassifier
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tensor, float64_mode
@@ -33,7 +36,7 @@ def small_checkpoint() -> C.Checkpoint:
 
 
 def assert_same_checkpoint(a: C.Checkpoint, b: C.Checkpoint) -> None:
-    assert (a.config_text, a.frozen, a.step) == (b.config_text, b.frozen, b.step)
+    assert (a.cfg, a.run, a.frozen, a.step) == (b.cfg, b.run, b.frozen, b.step)
     assert (a.optimizer is None) == (b.optimizer is None)
     groups = [(a.tensors, b.tensors)]
     if a.optimizer is not None:
@@ -51,10 +54,9 @@ def assert_same_checkpoint(a: C.Checkpoint, b: C.Checkpoint) -> None:
 
 
 def _save_unchecked(ck: C.Checkpoint, path) -> None:
-    """Save `ck` as another writer could: `_check` cut down to the config
-    parse that the optimizer settings need."""
+    """Save `ck` as another writer could: without `_check`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_check", lambda ck: config_from_text(ck.config_text))
+        mp.setattr(C, "_check", lambda ck: None)
         C.save_checkpoint(ck, path)
 
 
@@ -345,8 +347,7 @@ def test_resume_from_moments_missing_an_unfrozen_tensor_is_refused(tmp_path):
 
 def test_optimizer_settings_are_written_from_the_config_text(tmp_path):
     ck = small_checkpoint()
-    run = RunConfig(lr=0.25, weight_decay=0.0, adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-6)
-    ck.config_text = config_to_text(tiny_config(), run)
+    ck.run = RunConfig(lr=0.25, weight_decay=0.0, adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-6)
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
     assert p.read_bytes().count(struct.pack("<5d", 0.25, 0.0, 0.5, 0.75, 1e-6)) == 1
@@ -354,29 +355,59 @@ def test_optimizer_settings_are_written_from_the_config_text(tmp_path):
     assert (tmp_path / "again.v2ap").read_bytes() == p.read_bytes()
 
 
-@pytest.mark.parametrize("with_optimizer", [True, False])
-def test_save_refuses_an_invalid_config_text(tmp_path, with_optimizer):
+def test_ints_and_numpy_scalars_in_a_config_save_as_a_load_accepts(tmp_path):
+    # a float field given an int writes "0.0", not "0", which a load would find not canonical
     ck = small_checkpoint()
-    ck.config_text = ck.config_text.replace("depth = 2\n", "depth = 0\n")
-    if not with_optimizer:
-        ck.optimizer = None
-    with pytest.raises(FormatError, match="invalid config text: depth must be >= 1"):
-        C.save_checkpoint(ck, tmp_path / "ck.v2ap")
-    assert not (tmp_path / "ck.v2ap").exists()
+    ck.run = RunConfig(seed=np.int64(3), kl_beta=0, weight_decay=0, lr=np.float32(0.5))
+    p = tmp_path / "ck.v2ap"
+    C.save_checkpoint(ck, p)
+    back = C.load_checkpoint(p)
+    assert back.run == ck.run
+    C.save_checkpoint(back, tmp_path / "again.v2ap")
+    assert (tmp_path / "again.v2ap").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("depth = 2\n", "# the encoder\ndepth = 2\n"),  # a comment line
+    ("depth = 2\n", ""),  # a missing key, even one whose default would do
+    ("adam_beta1 = 0.9\nadam_beta2 = 0.999\n", "adam_beta2 = 0.999\nadam_beta1 = 0.9\n"),  # unsorted
+    ("depth = 2\n", "depth=2\n"),  # spacing
+])
+def test_a_config_text_that_is_not_canonical_is_refused(tmp_path, old, new):
+    # each parses, so a --config file may hold it, but the file would not re-save to its bytes
+    p = tmp_path / "ck.v2ap"
+    C.save_checkpoint(small_checkpoint(), p)
+    p.write_bytes(_with_config_text(p.read_bytes(), old, new))
+    with pytest.raises(FormatError, match="config text is not canonical"):
+        C.load_checkpoint(p)
+    D.save_dataset(D.generate(D.TaskSpec(classes=3, per_class=1), seed=0), tmp_path / "d.v2ds")
+    assert main(["eval", "--ckpt", str(p), "--data", str(tmp_path / "d.v2ds")]) == 3
 
 
 # ---------------------------------------------------------------------------
 # save and load accept the same files
 
 
-_CONFIG_EDITS = [  # (old line, new line) in the tiny config text
-    ("depth = 2\n", "depth = 0\n"),
-    ("dim = 16\n", "dim = 15\n"),
-    ("lr = 0.001\n", "lr = nan\n"),
-    ("seed = 0\n", "seed = 0\nbogus = 1\n"),
-    ("num_classes = 3\n", "num_classes = 5\n"),  # valid, but not the tensors' config
-    ("lr = 0.001\n", "lr = 0.002\n"),  # valid: a save writes the settings it implies
+_CONFIG_EDITS = [  # (old line, new line) in the tiny config text, the same edit as
+    # field values (None: no field holds it), and the message of the config it builds
+    ("depth = 2\n", "depth = 0\n", {"depth": 0}, "depth must be >= 1, got 0"),
+    ("dim = 16\n", "dim = 15\n", {"dim": 15}, "dim 15 not divisible by heads 2"),
+    ("lr = 0.001\n", "lr = nan\n", {"lr": math.nan}, "lr must be finite and > 0, got nan"),
+    ("seed = 0\n", "seed = 0\nbogus = 1\n", None, "unknown config key 'bogus'"),
+    ("num_classes = 3\n", "num_classes = 5\n", {"num_classes": 5}, None),  # not the tensors' config
+    ("lr = 0.001\n", "lr = 0.002\n", {"lr": 0.002}, None),  # a save writes the settings it implies
 ]
+
+
+def _edit_configs(ck: C.Checkpoint, old: str, new: str, changes: dict | None) -> None:
+    """Build `ck`'s configs with one edit: its field values through
+    `dataclasses.replace`, or its text through the parser when no field holds it."""
+    if changes is None:
+        ck.cfg, ck.run = config_from_text(config_to_text(ck.cfg, ck.run).replace(old, new))
+    elif changes.keys() <= {f.name for f in dataclasses.fields(ck.cfg)}:
+        ck.cfg = dataclasses.replace(ck.cfg, **changes)
+    else:
+        ck.run = dataclasses.replace(ck.run, **changes)
 
 
 def _save_then(patch):
@@ -388,9 +419,10 @@ def _save_then(patch):
 
 
 def _mutate(ck: C.Checkpoint, draw):
-    """Apply one drawn change to `ck`. Return None, or a writer of the changed
-    file when save cannot be made to write it: non-finite values and config
-    texts go in as patched bytes."""
+    """Apply one drawn change to `ck`. Return (writer, message): a writer of the
+    changed file when save cannot be made to write it, and the message a load
+    gives when `ck` cannot hold the change. Non-finite values and invalid
+    configs go in as patched bytes."""
     o, names = ck.optimizer, sorted(ck.tensors)
     unfrozen = sorted(ck.tensors.keys() - ck.frozen)
     kind = draw(st.sampled_from([
@@ -436,41 +468,58 @@ def _mutate(ck: C.Checkpoint, draw):
             st.floats(width=32, allow_nan=False, allow_infinity=False) if kind == "finite value"
             else st.sampled_from([np.nan, np.inf, -np.inf]))
         if kind == "non-finite value":
-            return _save_then(lambda p: _write_over(p, f"{section} {name!r}", a))
+            return _save_then(lambda p: _write_over(p, f"{section} {name!r}", a)), None
     elif kind == "freeze stray name":
         ck.frozen = ck.frozen | {draw(st.sampled_from(["backbone.no_such", "", "head.w"]))}
     elif kind == "config text":
-        old, new = draw(st.sampled_from(_CONFIG_EDITS))
-        ck.config_text = ck.config_text.replace(old, new)
-        return _save_then(lambda p: p.write_bytes(_with_config_text(p.read_bytes(), old, new)))
+        old, new, changes, error = draw(st.sampled_from(_CONFIG_EDITS))
+        if error is None:
+            _edit_configs(ck, old, new, changes)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(error)):
+                _edit_configs(ck, old, new, changes)
+            return (_save_then(lambda p: p.write_bytes(_with_config_text(p.read_bytes(), old, new))),
+                    f"invalid config text: {error}")
     else:  # valid: any step the file's u64 holds
         ck.step = draw(st.integers(0, 2**64 - 1))
-    return None
+    return None, None
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_save_and_load_refuse_the_same_checkpoints(tmp_path_factory, data):
+def _assert_save_and_load_agree(d, ck: C.Checkpoint, write, refused) -> None:
     """A checkpoint that saves loads back equal and re-saves byte for byte; one
-    that save refuses, written anyway, load refuses with the same message."""
-    d = tmp_path_factory.mktemp("mutated")
-    ck = small_checkpoint()
-    write = _mutate(ck, data.draw)
+    that save refuses, written anyway, load refuses with the same message, as
+    it refuses the bytes of a config that cannot be built."""
     p = d / "ck.v2ap"
-    try:
-        C.save_checkpoint(ck, p)
-    except FormatError as e:
-        refused = str(e)
-    else:
-        back = C.load_checkpoint(p)
-        assert_same_checkpoint(back, ck)
-        C.save_checkpoint(back, d / "again.v2ap")
-        assert (d / "again.v2ap").read_bytes() == p.read_bytes()
-        return
-    assert not p.exists()
+    if refused is None:
+        try:
+            C.save_checkpoint(ck, p)
+        except FormatError as e:
+            refused = str(e)
+        else:
+            back = C.load_checkpoint(p)
+            assert_same_checkpoint(back, ck)
+            C.save_checkpoint(back, d / "again.v2ap")
+            assert (d / "again.v2ap").read_bytes() == p.read_bytes()
+            return
+        assert not p.exists()
     (write or (lambda p: _save_unchecked(ck, p)))(p)
     with pytest.raises(FormatError) as loaded:
         C.load_checkpoint(p)
     assert str(loaded.value) == refused
     D.save_dataset(D.generate(D.TaskSpec(classes=3, per_class=1), seed=0), d / "d.v2ds")
     assert main(["eval", "--ckpt", str(p), "--data", str(d / "d.v2ds")]) == 3
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_save_and_load_refuse_the_same_checkpoints(tmp_path_factory, data):
+    ck = small_checkpoint()
+    _assert_save_and_load_agree(tmp_path_factory.mktemp("mutated"), ck, *_mutate(ck, data.draw))
+
+
+@pytest.mark.parametrize("edit", _CONFIG_EDITS, ids=lambda edit: edit[1].strip().replace("\n", ";"))
+def test_save_and_load_agree_on_every_config_edit(tmp_path, edit):
+    # the property test draws only some of the edits
+    ck = small_checkpoint()
+    drawn = iter(["config text", edit])
+    _assert_save_and_load_agree(tmp_path, ck, *_mutate(ck, lambda strategy: next(drawn)))

@@ -124,6 +124,28 @@ def test_out_of_range_seed_exits_2(capsys, tmp_path, seed):
     assert not out.exists()
 
 
+_OVERRIDES = [
+    ("--steps", "0", "steps must be >= 1, got 0"),
+    ("--seed", "-1", "seed must be in [0, 2**32), got -1"),
+    ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message",
+                         [(command, *o) for command in ("pretrain", "tune") for o in _OVERRIDES]
+                         + [("tune", "--train-frac", "1", "train_frac must be in (0, 1), got 1.0")])
+def test_invalid_override_exits_2_before_any_file_is_read(capsys, tmp_path, command, flag,
+                                                          value, message):
+    missing = str(tmp_path / "missing")  # reading any of these would exit 3
+    argv = [command, "--data", missing, "--out", str(tmp_path / "out.v2ap"), flag, value]
+    if command == "tune":
+        argv += ["--backbone-ckpt", missing, "--method", "v2apt"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"
+
+
 def test_missing_data_file_exits_3(workdir, tmp_path):
     rc = main(["eval", "--ckpt", str(workdir / "tuned.v2ap"), "--data", str(tmp_path / "no.v2ds")])
     assert rc == 3

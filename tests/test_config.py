@@ -1,5 +1,10 @@
-"""Config text form: round trips, rejection of bad keys, preset sanity."""
+"""Config values and text form: checks at construction, round trips,
+rejection of bad keys, preset sanity."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from v2apt.config import (
@@ -28,6 +33,14 @@ def test_parse_serialize_fixed_point():
     m2, r2 = config_from_text(text)
     assert (m2, r2) == (m, r)
     assert config_to_text(m2, r2) == text
+
+
+def test_text_writes_each_value_as_the_type_it_parses_back_to():
+    text = config_to_text(ModelConfig(dim=np.int64(24), heads=2), RunConfig(kl_beta=0, lr=np.float32(0.5)))
+    assert {"dim = 24", "kl_beta = 0.0", "lr = 0.5"} <= set(text.splitlines())
+    assert config_to_text(*config_from_text(text)) == text
+    with pytest.raises(ConfigError, match=r"depth = 2\.5 is not int"):
+        config_to_text(ModelConfig(depth=2.5), RunConfig())
 
 
 def test_partial_text_uses_defaults():
@@ -59,27 +72,40 @@ def test_comments_and_blank_lines_ignored():
 
 def test_validation_catches_bad_geometry():
     with pytest.raises(ConfigError, match="image_size"):
-        ModelConfig(image_size=15).validate()
+        ModelConfig(image_size=15)
     with pytest.raises(ConfigError, match="heads"):
-        ModelConfig(dim=16, heads=3).validate()
+        ModelConfig(dim=16, heads=3)
     with pytest.raises(ConfigError, match="prompt"):
-        ModelConfig(prompt_len=4, prompt_inst=5).validate()
+        ModelConfig(prompt_len=4, prompt_inst=5)
     with pytest.raises(ConfigError, match="lr"):
-        RunConfig(lr=0.0).validate()
+        RunConfig(lr=0.0)
+
+
+@pytest.mark.parametrize("config, changes, message", [
+    (ModelConfig(), {"depth": 0}, "depth must be >= 1, got 0"),
+    (ModelConfig(), {"prompt_inst": 9}, "prompt split invalid: prompt_inst 9 of prompt_len 8"),
+    (RunConfig(), {"steps": 0}, "steps must be >= 1, got 0"),
+    (RunConfig(), {"lr": math.nan}, "lr must be finite and > 0, got nan"),
+])
+def test_replace_checks_again_and_fields_cannot_be_set(config, changes, message):
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(config, **changes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, *next(iter(changes.items())))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32])
 def test_out_of_range_seed_rejected_when_parsed(seed):
     with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*32\)"):
-        RunConfig(seed=seed).validate()
+        RunConfig(seed=seed)
     with pytest.raises(ConfigError, match="seed"):
         config_from_text(f"seed = {seed}\n")
-    assert RunConfig(seed=2**32 - 1).validate().seed == 2**32 - 1
+    assert RunConfig(seed=2**32 - 1).seed == 2**32 - 1
 
 
 def test_presets_are_valid():
-    tiny = tiny_config().validate()
+    tiny = tiny_config()
     assert (tiny.depth, tiny.dim, tiny.prompt_len, tiny.prompt_inst, tiny.latent_dim) == (2, 16, 4, 2, 4)
-    full = default_config().validate()
+    full = default_config()
     assert (full.depth, full.dim, full.heads) == (4, 48, 3)
     assert full.prompt_inst + full.prompt_dom == full.prompt_len

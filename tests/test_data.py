@@ -5,6 +5,8 @@ classifier reaches 100% train accuracy, the preset really is linearly
 separable, independent of anything the model code does.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,17 @@ def test_shift_changes_pixels_but_not_labels():
 def test_too_few_classes_rejected():
     with pytest.raises(ValidationError):
         D.generate(small_spec(classes=1), seed=0)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -1.0])
+def test_noise_must_be_finite_and_non_negative(noise):
+    with pytest.raises(ValidationError, match=f"noise must be finite and >= 0, got {noise}"):
+        small_spec(noise=noise)
+
+
+def test_an_invalid_spec_cannot_be_built_by_replace():
+    with pytest.raises(ValidationError, match="occlusion must be in"):
+        replace(D.PRESETS["shift-B"], occlusion=1.5)
 
 
 def test_unknown_preset_lists_valid_names():
@@ -235,6 +248,13 @@ def test_split_deterministic_per_seed():
     b1, _ = D.split(ds, 0.8, seed=8)
     assert a1.images.tobytes() == a2.images.tobytes()
     assert a1.images.tobytes() != b1.images.tobytes()
+
+
+def test_split_shares_no_memory_with_its_source():
+    ds = D.generate(small_spec(), seed=0)
+    for part in D.split(ds, 0.5, seed=0):
+        assert not np.shares_memory(part.images, ds.images)
+        assert not np.shares_memory(part.labels, ds.labels)
 
 
 def test_split_rejects_tiny_class():

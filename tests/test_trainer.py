@@ -306,6 +306,14 @@ def test_empty_dataset_rejected():
         TR.evaluate(tuned_model(), empty)
 
 
+def test_an_empty_eval_set_is_not_replaced_by_the_training_data():
+    ds = tiny_dataset()
+    empty = D.Dataset(ds.images[:0], ds.labels[:0], ds.num_classes, 0)
+    trainer = TR.Trainer(tuned_model(), tiny_run(steps=1), ds)
+    with pytest.raises(ValidationError, match="cannot evaluate on an empty dataset"):
+        trainer.train(eval_dataset=empty)
+
+
 def test_metrics_jsonl_roundtrip(tmp_path):
     import json
 
