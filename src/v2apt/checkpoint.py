@@ -5,12 +5,14 @@ its own CRC32, sorted named tensor records (name, dtype tag, rank, extents,
 raw bytes), the freeze-mask name list, optimizer settings and moment buffers,
 named RNG cursors, the step counter, and a CRC32 footer over every preceding
 byte. A `Checkpoint` holds the configs, which a save writes as text and a
-load parses once, refusing text that is not canonical; with the sorted name
-sections, save -> load -> save reproduces an accepted file byte for byte. A
-save writes the optimizer settings from the run config and the one RNG
-cursor, `eps`, from the step; a load checks both. Save, load and
-`restore_model` apply one check, `_check`, so a save writes exactly the files
-a load accepts; each array is checked finite where it meets the bytes.
+load parses once, refusing text that is not canonical; a load refuses name
+sections that are not strictly ascending too, so save -> load -> save
+reproduces an accepted file byte for byte. A save writes the optimizer
+settings from the run config and the one RNG cursor, `eps`, from the step; a
+load checks both. Save and load apply one check, `_check`, so a save writes
+exactly the files a load accepts. Its tensor part is the model's own rule,
+`model.param_fault`, which `restore_model` runs once, in the model's
+constructor. Each array is checked finite where it meets the bytes.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Reversible
 
 import numpy as np
 
-from . import backbone as B
-from . import prompts as P
-from . import vae as V
 from .config import ModelConfig, RunConfig, config_from_text, config_to_text
 from .errors import ConfigError, FormatError
-from .model import PromptedClassifier
+from .model import PromptedClassifier, param_fault
 from .tensor import Tensor
 from .trainer import AdamW
 
@@ -81,23 +81,17 @@ def _refuse(*problems: tuple[str, set[str]]) -> None:
 
 
 def _check(ck: Checkpoint) -> None:
-    """A FormatError naming the first fault of an invalid checkpoint: the
-    backbone, head and whole adapter groups, shaped as the config implies; a
-    freeze mask of held tensors; and moments for exactly the unfrozen tensors,
-    each with its tensor's shape and dtype."""
+    """A FormatError naming the first fault of an invalid checkpoint."""
+    if (fault := param_fault(ck.cfg, ck.tensors)) is not None:
+        raise FormatError(f"checkpoint {fault}")
+    _check_state(ck)
+
+
+def _check_state(ck: Checkpoint) -> None:
+    """Beyond a model: a freeze mask of held tensors, and moments for exactly
+    the unfrozen tensors, each with its tensor's shape and dtype."""
     names = ck.tensors.keys()
-    expected = B.param_shapes(ck.cfg)
-    for group in (P.param_shapes(ck.cfg), V.param_shapes(ck.cfg)):
-        if group.keys() & names:
-            expected.update(group)
-    _refuse(("lacks tensor", expected.keys() - names),
-            ("has unexpected tensor", names - expected.keys()),
-            ("freezes unknown tensor", ck.frozen - names))
-    for name, shape in expected.items():
-        if ck.tensors[name].shape != shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {ck.tensors[name].shape}, its config implies {shape}"
-            )
+    _refuse(("freezes unknown tensor", ck.frozen - names))
     if ck.optimizer is not None:
         unfrozen = names - ck.frozen
         for which, found in (("first", ck.optimizer.m), ("second", ck.optimizer.v)):
@@ -176,9 +170,14 @@ class _Reader:
         except UnicodeDecodeError as e:
             raise FormatError(f"{what} is not UTF-8 (byte {e.start} of {n})") from None
 
-    def name(self, what: str) -> str:
+    def name(self, what: str, after: Reversible[str] = ()) -> str:
+        """The next name; in a sorted section it must follow the last of `after`,
+        the names read before it, as a save writes them."""
         n = self.unpack("<H", f"{what} name length")
-        return self.text(n, f"{what} name")
+        name = self.text(n, f"{what} name")
+        if after and name <= (last := next(reversed(after))):
+            raise FormatError(f"{what} names are not strictly ascending: {name!r} after {last!r}")
+        return name
 
     def array(self, what: str) -> np.ndarray:
         tag, rank = self.unpack("<BB", f"{what} dtype/rank")
@@ -216,10 +215,12 @@ def load_checkpoint(path) -> Checkpoint:
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I", "tensor count")):
-        name = r.name("tensor")
+        name = r.name("tensor", after=tensors)
         tensors[name] = r.array(f"tensor {name!r}")
 
-    frozen = frozenset(r.name("freeze mask") for _ in range(r.unpack("<I", "freeze count")))
+    frozen: list[str] = []
+    for _ in range(r.unpack("<I", "freeze count")):
+        frozen.append(r.name("freeze mask", after=frozen))
 
     optimizer = raw = None
     if r.unpack("<B", "optimizer flag"):
@@ -227,7 +228,7 @@ def load_checkpoint(path) -> Checkpoint:
         t = r.unpack("<Q", "optimizer step")
         m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
-            name = r.name("moment")
+            name = r.name("moment", after=m)
             m[name] = r.array(f"first moment {name!r}")
             v[name] = r.array(f"second moment {name!r}")
         optimizer = AdamW()
@@ -248,7 +249,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"invalid config text: {e}") from None
     if config_to_text(cfg, run) != text:
         raise FormatError("config text is not canonical: a save would write it differently")
-    ck = Checkpoint(cfg, run, tensors, frozen, optimizer, int(step))
+    ck = Checkpoint(cfg, run, tensors, frozenset(frozen), optimizer, int(step))
     _check(ck)
     settings = _settings(run)
     if raw is not None and raw != struct.pack("<5d", *settings):
@@ -297,9 +298,14 @@ def snapshot(
 
 
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
-    _check(ck)
+    # `_check`, with the model rule run once: by the constructor
     params = {n: Tensor(a, requires_grad=n not in ck.frozen) for n, a in ck.tensors.items()}
-    return PromptedClassifier(ck.cfg, params), ck.run
+    try:
+        model = PromptedClassifier(ck.cfg, params)
+    except ConfigError:
+        raise FormatError(f"checkpoint {param_fault(ck.cfg, ck.tensors)}") from None
+    _check_state(ck)
+    return model, ck.run
 
 
 def restore_optimizer(ck: Checkpoint) -> AdamW | None:

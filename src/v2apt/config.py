@@ -1,6 +1,7 @@
 """Architecture and run configuration with a canonical text form.
 
-Configs are immutable values checked when built, `dataclasses.replace` too.
+Configs are immutable values checked when built, `dataclasses.replace` too;
+each field holds its declared type, a Python int or float.
 Their text, key-sorted "key = value" lines, exists only in `--config` files
 and checkpoints; parsing then serializing is a fixed point: ints print in
 decimal, floats via repr (shortest round-trip form).
@@ -8,10 +9,33 @@ decimal, floats via repr (shortest round-trip form).
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+
+
+@functools.cache  # one entry per config class; callers only read the dict
+def _field_types(cls) -> dict[str, type]:
+    return {f.name: f.type if isinstance(f.type, type) else {"int": int, "float": float}[f.type] for f in fields(cls)}
+
+
+def hold_field_types(obj, error: type[Exception]) -> None:
+    """Store each field of the frozen dataclass `obj` as its declared type, or
+    raise `error` naming the field: an int field takes an integer (numpy's
+    too), a float field an integer or a float, and neither takes a bool."""
+    for name, ftype in _field_types(type(obj)).items():
+        v = getattr(obj, name)
+        if type(v) is ftype:  # already held as declared
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral if ftype is int else numbers.Real):
+            raise error(f"{name} = {v!r} is not {ftype.__name__}")
+        try:
+            object.__setattr__(obj, name, ftype(v))
+        except OverflowError:
+            raise error(f"{name} is an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -54,6 +78,7 @@ class ModelConfig:
         return self.prompt_len - self.prompt_inst
 
     def __post_init__(self) -> None:
+        hold_field_types(self, ConfigError)
         if self.image_size <= 0 or self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -94,6 +119,7 @@ class RunConfig:
     train_frac: float = 0.8
 
     def __post_init__(self) -> None:
+        hold_field_types(self, ConfigError)
         if not 0 <= self.seed < 2**32:  # the bound SeededStreams enforces
             raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.batch_size < 1:
@@ -117,10 +143,6 @@ class RunConfig:
             raise ConfigError(f"train_frac must be in (0, 1), got {self.train_frac}")
 
 
-def _field_types(cls) -> dict[str, type]:
-    return {f.name: f.type if isinstance(f.type, type) else {"int": int, "float": float}[f.type] for f in fields(cls)}
-
-
 _MODEL_FIELDS = _field_types(ModelConfig)
 _RUN_FIELDS = _field_types(RunConfig)
 _OVERLAP = set(_MODEL_FIELDS) & set(_RUN_FIELDS)
@@ -128,14 +150,11 @@ assert not _OVERLAP, f"config field names collide: {_OVERLAP}"
 
 
 def config_to_text(model: ModelConfig, run: RunConfig) -> str:
-    """Canonical flat text form: one sorted "key = value" line per field, each
-    value written as the type it parses back to, so `lr=1` writes `lr = 1.0`."""
-    items = {k: (getattr(model, k), ftype) for k, ftype in _MODEL_FIELDS.items()}
-    items.update({k: (getattr(run, k), ftype) for k, ftype in _RUN_FIELDS.items()})
-    for k, (v, ftype) in items.items():
-        if ftype(v) != v:
-            raise ConfigError(f"{k} = {v!r} is not {ftype.__name__}")
-    return "".join(f"{k} = {ftype(v)!r}\n" for k, (v, ftype) in sorted(items.items()))
+    """Canonical flat text form: one sorted "key = value" line per field. A
+    config holds each value as its field's type, so `lr=1` writes `lr = 1.0`."""
+    items = {k: getattr(model, k) for k in _MODEL_FIELDS}
+    items.update({k: getattr(run, k) for k in _RUN_FIELDS})
+    return "".join(f"{k} = {v!r}\n" for k, v in sorted(items.items()))
 
 
 def config_from_text(text: str) -> tuple[ModelConfig, RunConfig]:

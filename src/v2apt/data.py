@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import hold_field_types
 from .errors import FormatError, ValidationError
 from .rng import SeededStreams
 
@@ -44,6 +45,7 @@ class TaskSpec:
     occlusion: float = 0.0
 
     def __post_init__(self) -> None:
+        hold_field_types(self, ValidationError)
         if self.classes < 2:
             raise ValidationError(f"need at least 2 classes, got {self.classes}")
         if self.per_class < 1:

@@ -14,7 +14,7 @@ class ValidationError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """An internal invariant (freeze mask, tape state, token budget) was violated."""
+    """An internal invariant (freeze mask, tape state) was violated."""
 
 
 class NumericError(ArithmeticError):

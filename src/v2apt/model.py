@@ -9,13 +9,14 @@ One class covers every training flavor by which parameter groups exist:
 
 With `prompt_inst = 0` the generator is never built, so that configuration is
 the baseline itself, not an emulation of it: same parameters, same tape, same
-random draws.
+random draws. Which groups a model of a config holds, and in what shapes, is
+stated once, by `param_fault`; the constructor refuses any other parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +43,34 @@ class ForwardResult:
     captures: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
+def param_fault(cfg: ModelConfig, params: Mapping[str, Tensor | np.ndarray]) -> str | None:
+    """The first way `params` is not a model of `cfg`, or None: the one rule,
+    which the constructor and every checkpoint apply. A model holds the
+    backbone and head, plus no adapters or exactly the groups `install_adapters`
+    installs, each tensor in the shape the config implies."""
+    adapters = P.param_shapes(cfg) if cfg.prompt_dom else {}
+    if cfg.prompt_inst:
+        adapters.update(V.param_shapes(cfg))
+    expected = B.param_shapes(cfg)
+    if adapters.keys() & params.keys():
+        expected.update(adapters)
+    for problem, found in (("lacks tensor", expected.keys() - params.keys()),
+                           ("has unexpected tensor", params.keys() - expected.keys())):
+        if found:
+            return f"{problem}(s) {', '.join(map(repr, sorted(found)))}"
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            return f"tensor {name!r} has shape {params[name].shape}, its config implies {shape}"
+    return None
+
+
 class PromptedClassifier:
-    """Parameter container plus the prompted forward pass."""
+    """Parameter container plus the prompted forward pass; its parameters
+    are a model of its config, as `param_fault` states."""
 
     def __init__(self, cfg: ModelConfig, params: Params):
+        if (fault := param_fault(cfg, params)) is not None:
+            raise ConfigError(f"model {fault}")
         self.cfg = cfg
         self.params = params
 
@@ -83,11 +108,11 @@ class PromptedClassifier:
         return model
 
     def install_adapters(self, streams: SeededStreams) -> None:
-        """Add the parameter groups the config calls for (idempotent)."""
-        cfg = self.cfg
-        if cfg.prompt_dom > 0 and "prompts.0" not in self.params:
+        """Add the adapter groups the config calls for, unless the model holds them."""
+        cfg, bare = self.cfg, self.active_budget == 0
+        if bare and cfg.prompt_dom:
             self.params.update(P.init_domain_prompts(cfg, streams))
-        if cfg.prompt_inst > 0 and "vae.enc.w1" not in self.params:
+        if bare and cfg.prompt_inst:
             self.params.update(V.init_vae(cfg, streams))
 
     def freeze(self) -> frozenset[str]:
@@ -108,13 +133,8 @@ class PromptedClassifier:
 
     @property
     def active_budget(self) -> int:
-        """Prompt tokens actually present in the sequence."""
-        k = 0
-        if self.has_generator:
-            k += self.cfg.prompt_inst
-        if self.has_prompts:
-            k += self.cfg.prompt_dom
-        return k
+        """Prompt tokens in each layer's context: k with the adapters, 0 without."""
+        return self.cfg.prompt_len if self.has_prompts or self.has_generator else 0
 
     def trainables(self) -> Params:
         return {n: p for n, p in sorted(self.params.items()) if p.requires_grad}
@@ -128,8 +148,7 @@ class PromptedClassifier:
         self, embeddings: Tensor, batch: int, rng: np.random.Generator | None
     ) -> tuple[list[list[Tensor]], Tensor | None, V.LatentDistribution | None]:
         cfg = self.cfg
-        inst = dom = None
-        kl = dist = None
+        inst = dom = kl = dist = None
         if self.has_generator:
             pooled = V.pool_input_embeddings(embeddings)
             dist = V.encode(pooled, self.params, cfg)
@@ -140,7 +159,7 @@ class PromptedClassifier:
             dom = [
                 expand_leading(self.params[f"prompts.{i}"], batch) for i in range(cfg.depth)
             ]
-        return V.compose_prompts(inst, dom, cfg), kl, dist
+        return V.compose_prompts(inst, dom) or [[] for _ in range(cfg.depth)], kl, dist
 
     def forward(
         self,

@@ -2,9 +2,9 @@
 
 Every encoder layer attends over the same layout: [CLS | patches | prompts].
 Only the CLS and patch rows are carried from layer to layer; each layer's
-fresh prompt blocks (`vae.compose_prompts` builds them and checks the token
-budget k) join its keys and values alone, so k is constant across depth and
-no prompt output is ever computed. `SequenceLayout`, `splice_prompts` and
+fresh prompt blocks (`vae.compose_prompts` orders them; the model's
+parameter shapes fix the token budget k) join its keys and values alone, so
+k is constant across depth and no prompt output is ever computed. `SequenceLayout`, `splice_prompts` and
 `strip_prompt_tokens` have no caller in the package.
 """
 

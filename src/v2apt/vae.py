@@ -3,9 +3,10 @@
 The encoder maps the mean-pooled frozen patch embedding of an image to
 (mu, logvar); a latent draw (sampled when given an rng, mu without one)
 decodes in one shot to all N layers' instance prompt blocks. `compose_prompts`
-is the one place that assembles each layer's prompts: the instance block before
-the shared domain block, under the fixed token budget. The blocks stay
-separate; each encoder layer concatenates them into its context once.
+orders each layer's prompts: the instance block before the shared domain
+block. The blocks stay separate; each encoder layer concatenates them into its
+context once. The token budget k holds by construction: the model's parameters
+have the shapes its config implies.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import Params
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .rng import SeededStreams
 from .tensor import Tensor
 
@@ -150,27 +151,8 @@ def kl_monte_carlo(mu: np.ndarray, logvar: np.ndarray, n_samples: int, seed: int
 
 
 def compose_prompts(
-    inst: Sequence[Tensor] | None, dom: Sequence[Tensor] | None, cfg: ModelConfig
+    inst: Sequence[Tensor] | None, dom: Sequence[Tensor] | None
 ) -> list[list[Tensor]]:
-    """Per layer, the prompt blocks [instance rows, domain rows]; enforces the budget.
-
-    An absent side (None) contributes no block. With instance rows present a
-    layer's rows add up to k = `prompt_len`; with domain rows alone they add
-    up to `prompt_dom`, so `prompt_inst = 0` is the deep prompting baseline
-    itself. With neither side there are no prompts and nothing to check.
-    """
-    sides = [side for side in (inst, dom) if side is not None]
-    for side in sides:
-        if len(side) != cfg.depth:
-            raise ConfigError(f"expected {cfg.depth} prompt blocks per side, got {len(side)}")
-    if not sides:
-        return [[] for _ in range(cfg.depth)]
-    budget = cfg.prompt_len if inst is not None else cfg.prompt_dom
-    layers = [list(blocks) for blocks in zip(*sides)]
-    for i, blocks in enumerate(layers):
-        rows = [b.shape[-2] for b in blocks]
-        if sum(rows) != budget:
-            raise ConfigError(
-                f"layer {i}: token budget violated, {' + '.join(map(str, rows))} != k = {budget}"
-            )
-    return layers
+    """Per layer, the prompt blocks [instance rows, domain rows]; an absent
+    side (None) contributes no block, and with neither there are no layers."""
+    return [list(blocks) for blocks in zip(*(side for side in (inst, dom) if side is not None))]

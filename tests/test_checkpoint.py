@@ -88,6 +88,27 @@ def _write_over(path, what: str, arr: np.ndarray) -> None:
     path.write_bytes(_reseal(body[:at] + raw + body[at + n:]))
 
 
+_SECTIONS = {  # name section -> (label of its count, label of the field after it)
+    "tensor": ("tensor count", "freeze count"),
+    "freeze mask": ("freeze count", "optimizer flag"),
+    "moment": ("moment count", "cursor count"),
+}
+
+
+def _with_records(path, section: str, reorder) -> None:
+    """Rewrite the records of a name section of the .v2ap at `path` as
+    `reorder` lists them, its count and the footer re-sealed."""
+    count_label, next_label = _SECTIONS[section]
+    fields = _checkpoint_fields(path)
+    [count_at] = [at for at, _, label in fields if label == count_label]
+    [end] = [at for at, _, label in fields if label == next_label]
+    starts = [at for at, _, label in fields if label == f"{section} name length"] + [end]
+    body = path.read_bytes()[:-4]
+    records = reorder([body[a:b] for a, b in zip(starts, starts[1:])])
+    head = body[:count_at] + struct.pack("<I", len(records))
+    path.write_bytes(_reseal(head + b"".join(records) + body[end:]))
+
+
 def _with_config_text(blob: bytes, old: str, new: str) -> bytes:
     """`blob` with `old` replaced in its config text, both checksums re-sealed."""
     text_len = struct.unpack_from("<I", blob, 8)[0]
@@ -421,14 +442,15 @@ def _save_then(patch):
 def _mutate(ck: C.Checkpoint, draw):
     """Apply one drawn change to `ck`. Return (writer, message): a writer of the
     changed file when save cannot be made to write it, and the message a load
-    gives when `ck` cannot hold the change. Non-finite values and invalid
-    configs go in as patched bytes."""
+    gives when `ck` cannot hold the change, or, without a writer, the message
+    save must refuse `ck` with. Non-finite values, invalid configs and
+    unsorted names go in as patched bytes."""
     o, names = ck.optimizer, sorted(ck.tensors)
     unfrozen = sorted(ck.tensors.keys() - ck.frozen)
     kind = draw(st.sampled_from([
         "drop tensor", "add tensor", "drop adapter group", "drop optimizer", "drop moment",
         "add moment", "moment shape", "moment dtype", "finite value", "non-finite value",
-        "freeze stray name", "config text", "step",
+        "freeze stray name", "config text", "step", "name order",
     ]))
     if kind == "drop tensor":
         name = draw(st.sampled_from(names))
@@ -441,10 +463,20 @@ def _mutate(ck: C.Checkpoint, draw):
         ck.tensors[name] = np.zeros(3, np.float32)
         if draw(st.booleans()):
             o.m[name] = o.v[name] = np.zeros(3, np.float32)
-    elif kind == "drop adapter group":  # valid: each group goes whole
-        prefix = draw(st.sampled_from(["prompts.", "vae."]))
-        for name in (n for n in names if n.startswith(prefix)):
+    elif kind == "drop adapter group":  # valid only with both: a model holds all or none
+        prefixes = draw(st.sampled_from([("prompts.",), ("vae.",), ("prompts.", "vae.")]))
+        dropped = [n for n in names if n.startswith(prefixes)]
+        for name in dropped:
             del ck.tensors[name], o.m[name], o.v[name]
+        if len(prefixes) == 1:
+            return None, f"checkpoint lacks tensor(s) {', '.join(map(repr, dropped))}"
+    elif kind == "name order":  # the first two names swapped, or the first record repeated
+        section = draw(st.sampled_from(sorted(_SECTIONS)))
+        swap = draw(st.booleans())
+        first, second = sorted({"tensor": ck.tensors, "freeze mask": ck.frozen, "moment": o.m}[section])[:2]
+        reorder = (lambda r: [r[1], r[0], *r[2:]]) if swap else (lambda r: [r[0], *r])
+        return (_save_then(lambda p: _with_records(p, section, reorder)),
+                f"{section} names are not strictly ascending: {first!r} after {second if swap else first!r}")
     elif kind == "drop optimizer":  # valid
         ck.optimizer = None
     elif kind == "drop moment":
@@ -487,21 +519,28 @@ def _mutate(ck: C.Checkpoint, draw):
 
 def _assert_save_and_load_agree(d, ck: C.Checkpoint, write, refused) -> None:
     """A checkpoint that saves loads back equal and re-saves byte for byte; one
-    that save refuses, written anyway, load refuses with the same message, as
-    it refuses the bytes of a config that cannot be built."""
+    that save refuses (with `refused`, when given without a writer), restore
+    and load refuse with the same message, as load refuses the bytes that
+    `write` writes with `refused`."""
     p = d / "ck.v2ap"
-    if refused is None:
+    if write is None or refused is None:
         try:
             C.save_checkpoint(ck, p)
         except FormatError as e:
+            assert refused in (None, str(e))
             refused = str(e)
         else:
+            assert refused is None, f"save wrote a checkpoint it must refuse: {refused}"
             back = C.load_checkpoint(p)
             assert_same_checkpoint(back, ck)
             C.save_checkpoint(back, d / "again.v2ap")
             assert (d / "again.v2ap").read_bytes() == p.read_bytes()
             return
         assert not p.exists()
+    if write is None:  # `ck` holds the fault
+        with pytest.raises(FormatError) as restored:
+            C.restore_model(ck)
+        assert str(restored.value) == refused
     (write or (lambda p: _save_unchecked(ck, p)))(p)
     with pytest.raises(FormatError) as loaded:
         C.load_checkpoint(p)
@@ -523,3 +562,14 @@ def test_save_and_load_agree_on_every_config_edit(tmp_path, edit):
     ck = small_checkpoint()
     drawn = iter(["config text", edit])
     _assert_save_and_load_agree(tmp_path, ck, *_mutate(ck, lambda strategy: next(drawn)))
+
+
+@pytest.mark.parametrize("drawn", [
+    ["drop adapter group", prefixes] for prefixes in [("prompts.",), ("vae.",), ("prompts.", "vae.")]
+] + [["name order", section, swap] for section in sorted(_SECTIONS) for swap in (True, False)],
+    ids=lambda drawn: " ".join(map(str, drawn)))
+def test_save_and_load_agree_on_each_adapter_drop_and_name_order(tmp_path, drawn):
+    # one adapter group is not a model, and names out of order would re-save to other bytes
+    ck = small_checkpoint()
+    draws = iter(drawn)
+    _assert_save_and_load_agree(tmp_path, ck, *_mutate(ck, lambda strategy: next(draws)))

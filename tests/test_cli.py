@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from test_checkpoint import (_checkpoint_fields, _reseal, _save_unchecked, _with_config_text,
                              _write_over)
+from v2apt import vae as V
 from v2apt.checkpoint import load_checkpoint, save_checkpoint
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
@@ -184,11 +185,18 @@ def _freeze_stray_name(ck):
     ck.frozen = ck.frozen | {"backbone.no_such"}
 
 
+def _keep_only_the_generator(ck):  # a model holds every adapter group its config implies or none
+    for name in [n for n in ck.tensors if n.startswith("prompts.")]:
+        del ck.tensors[name]
+    ck.tensors.update({n: np.zeros(shape, np.float32) for n, shape in V.param_shapes(ck.cfg).items()})
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_patch_weight, "lacks tensor(s) 'backbone.patch.w'"),
     (_misshape_head, "tensor 'head.w' has shape (16, 2), its config implies (16, 3)"),
     (_add_stray_tensor, "has unexpected tensor(s) 'backbone.extra'"),
     (_freeze_stray_name, "freezes unknown tensor(s) 'backbone.no_such'"),
+    (_keep_only_the_generator, "lacks tensor(s) 'prompts.0', 'prompts.1'"),
 ])
 @pytest.mark.parametrize("command", ["eval", "tune"])
 def test_checkpoint_disagreeing_with_its_config_exits_3(workdir, tmp_path, capsys,

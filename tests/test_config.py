@@ -3,6 +3,7 @@ rejection of bad keys, preset sanity."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,8 +40,27 @@ def test_text_writes_each_value_as_the_type_it_parses_back_to():
     text = config_to_text(ModelConfig(dim=np.int64(24), heads=2), RunConfig(kl_beta=0, lr=np.float32(0.5)))
     assert {"dim = 24", "kl_beta = 0.0", "lr = 0.5"} <= set(text.splitlines())
     assert config_to_text(*config_from_text(text)) == text
-    with pytest.raises(ConfigError, match=r"depth = 2\.5 is not int"):
-        config_to_text(ModelConfig(depth=2.5), RunConfig())
+
+
+def test_fields_hold_their_declared_types():
+    model, run = ModelConfig(dim=np.int64(24), heads=np.int32(2)), RunConfig(kl_beta=0, lr=np.float32(0.5))
+    assert (type(model.dim), type(model.heads), type(run.kl_beta), type(run.lr)) == (int, int, float, float)
+    assert run.kl_beta == 0.0 and run.lr == 0.5
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModelConfig(depth=2.5), "depth = 2.5 is not int"),
+    (lambda: ModelConfig(dim=48.0), "dim = 48.0 is not int"),
+    (lambda: RunConfig(seed=1.5), "seed = 1.5 is not int"),
+    (lambda: RunConfig(steps=True), "steps = True is not int"),
+    (lambda: RunConfig(lr="0.1"), "lr = '0.1' is not float"),
+    (lambda: RunConfig(kl_beta=False), "kl_beta = False is not float"),
+    (lambda: RunConfig(lr=10**400), "lr is an integer too large for a float"),
+    (lambda: dataclasses.replace(RunConfig(), batch_size=8.0), "batch_size = 8.0 is not int"),
+])
+def test_a_field_of_another_type_is_refused_by_name(build, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
 
 
 def test_partial_text_uses_defaults():

@@ -5,6 +5,7 @@ classifier reaches 100% train accuracy, the preset really is linearly
 separable, independent of anything the model code does.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,18 @@ def test_too_few_classes_rejected():
 def test_noise_must_be_finite_and_non_negative(noise):
     with pytest.raises(ValidationError, match=f"noise must be finite and >= 0, got {noise}"):
         small_spec(noise=noise)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"classes": 2.5}, "classes = 2.5 is not int"),
+    ({"per_class": True}, "per_class = True is not int"),
+    ({"noise": "x"}, "noise = 'x' is not float"),
+])
+def test_a_spec_field_of_another_type_is_refused_by_name(changes, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        small_spec(**changes)
+    spec = small_spec(classes=np.int64(3), noise=0)
+    assert (type(spec.classes), type(spec.noise)) == (int, float)
 
 
 def test_an_invalid_spec_cannot_be_built_by_replace():

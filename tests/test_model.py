@@ -1,6 +1,7 @@
 """End-to-end model assembly tests: parity, determinism, gradient reach."""
 
 import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,45 @@ def test_predict_matches_argmax_of_logits():
     preds = m.predict(x)
     logits = m.forward(x).logits.data
     np.testing.assert_array_equal(preds, logits.argmax(axis=1))
+
+
+def _without(prefix):
+    return lambda params: [params.pop(n) for n in list(params) if n.startswith(prefix)]
+
+
+def _set(name, shape):
+    return lambda params: params.update({name: Tensor(np.zeros(shape), requires_grad=True)})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("prompts.0", (3, 16)), "model tensor 'prompts.0' has shape (3, 16), its config implies (2, 16)"),
+    (_without("prompts.1"), "model lacks tensor(s) 'prompts.1'"),
+    (_without("prompts."), "model lacks tensor(s) 'prompts.0', 'prompts.1'"),  # generator only
+    (_without("vae."), "model lacks tensor(s) 'vae.dec.b1', 'vae.dec.b2', 'vae.dec.w1'"),
+    (_set("head.w", (16, 5)), "model tensor 'head.w' has shape (16, 5), its config implies (16, 3)"),
+    (_without("head.w"), "model lacks tensor(s) 'head.w'"),
+    (_set("vae.enc.w3", (3,)), "model has unexpected tensor(s) 'vae.enc.w3'"),
+])
+def test_the_constructor_refuses_parameters_that_are_not_a_model_of_the_config(edit, message):
+    # the one rule a checkpoint applies too: the token budget k holds by construction
+    params = build().params
+    edit(params)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PromptedClassifier(tiny_config(), params)
+
+
+def test_a_model_holds_every_adapter_group_or_none():
+    backbone = build(adapters=False).params
+    assert PromptedClassifier(tiny_config(), dict(backbone)).active_budget == 0
+    whole = build().params
+    assert PromptedClassifier(tiny_config(), whole).active_budget == 4
+    # with k_dom = 0 the config implies no domain prompts, not empty ones
+    cfg = ModelConfig(**{**tiny_config().__dict__, "prompt_inst": 4})
+    params = build(cfg).params
+    params.update(P.init_domain_prompts(cfg, SeededStreams(0)))
+    assert params["prompts.0"].shape == (0, 16)
+    with pytest.raises(ConfigError, match=re.escape("unexpected tensor(s) 'prompts.0', 'prompts.1'")):
+        PromptedClassifier(cfg, params)
 
 
 def test_install_adapters_idempotent():

@@ -12,7 +12,7 @@ import pytest
 from v2apt import tensor as T
 from v2apt import vae as V
 from v2apt.config import ModelConfig, default_config, tiny_config
-from v2apt.errors import ConfigError, ShapeError
+from v2apt.errors import ShapeError
 from v2apt.gradcheck import finite_diff_check
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tape, Tensor, float64_mode
@@ -194,49 +194,26 @@ def test_reparameterization_gradient_matches_finite_differences():
 
 
 def test_compose_instance_rows_come_first():
-    cfg = ModelConfig(depth=2, dim=4, heads=2, prompt_len=5, prompt_inst=2)
     inst = [Tensor(np.full((2, 4), 1.0 + i)) for i in range(2)]
     dom = [Tensor(np.full((3, 4), -1.0 - i)) for i in range(2)]
-    out = V.compose_prompts(inst, dom, cfg)
+    out = V.compose_prompts(inst, dom)
     assert len(out) == 2
     for i, blocks in enumerate(out):
         assert len(blocks) == 2
         assert blocks[0] is inst[i] and blocks[1] is dom[i]
 
 
-def test_compose_budget_violation_rejected():
-    cfg = ModelConfig(depth=1, dim=4, heads=2, prompt_len=6, prompt_inst=2)
-    inst = [Tensor(np.zeros((2, 4)))]
-    dom = [Tensor(np.zeros((3, 4)))]
-    with pytest.raises(ConfigError, match="budget"):
-        V.compose_prompts(inst, dom, cfg)
-    # instance rows alone must fill the whole budget k
-    with pytest.raises(ConfigError, match="budget"):
-        V.compose_prompts(inst, None, cfg)
-    # domain rows alone must fill k - k_inst
-    with pytest.raises(ConfigError, match="budget"):
-        V.compose_prompts(None, [Tensor(np.zeros((6, 4)))], cfg)
-
-
-def test_compose_layer_count_mismatch_rejected():
-    cfg = ModelConfig(depth=2, dim=4, heads=2, prompt_len=3, prompt_inst=0)
-    with pytest.raises(ConfigError, match="2 prompt blocks"):
-        V.compose_prompts(None, [Tensor(np.zeros((3, 4)))], cfg)
-
-
 def test_compose_degenerate_splits():
-    cfg = ModelConfig(depth=1, dim=4, heads=2, prompt_len=3, prompt_inst=0)
     dom = [Tensor(np.ones((3, 4)))]
-    out = V.compose_prompts(None, dom, cfg)
+    out = V.compose_prompts(None, dom)
     assert len(out[0]) == 1 and out[0][0] is dom[0]
 
-    cfg2 = ModelConfig(depth=1, dim=4, heads=2, prompt_len=3, prompt_inst=3)
     inst = [Tensor(np.ones((3, 4)))]
-    out2 = V.compose_prompts(inst, None, cfg2)
+    out2 = V.compose_prompts(inst, None)
     assert len(out2[0]) == 1 and out2[0][0] is inst[0]
 
-    # no prompts at all: one empty block list per layer, whatever k says
-    assert V.compose_prompts(None, None, ModelConfig(depth=2, dim=4, heads=2)) == [[], []]
+    # no prompts at all: no layers to list
+    assert V.compose_prompts(None, None) == []
 
 
 def test_encode_width_mismatch():
