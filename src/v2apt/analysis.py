@@ -114,9 +114,9 @@ def latent_stats(model: PromptedClassifier, ds: Dataset) -> LatentStats:
         raise ValidationError("empty dataset")
     mus, kls = [], []
     for lo in range(0, len(ds), EVAL_CHUNK):
-        out = model.forward(ds.images[lo:lo + EVAL_CHUNK])
-        mus.append(out.latent.mu.data.astype(np.float64))
-        kls.append(float(out.kl.item()) * out.latent.mu.shape[0])
+        _, dist = model.posterior(ds.images[lo:lo + EVAL_CHUNK])
+        mus.append(dist.mu.data.astype(np.float64))
+        kls.append(float(kl_divergence(dist).item()) * dist.mu.shape[0])
     mu = np.concatenate(mus)
     mu_var = mu.var(axis=0)
     return LatentStats(

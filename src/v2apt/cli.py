@@ -205,11 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # pin glibc's mmap (-3) and trim (-1) thresholds, which it otherwise raises
-    # as large blocks are freed: see "Heap thresholds" in the README
+    # as large blocks are freed, and keep one arena (-8), so that the encoder
+    # worker reuses the heap too: see "Heap thresholds" in the README
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
     if mallopt is not None:
         mallopt(-3, 32 << 20)
         mallopt(-1, 64 << 20)
+        mallopt(-8, 1)
     try:
         return args.func(args)
     except (ConfigError, ValidationError) as e:

@@ -15,8 +15,13 @@ stated once, by `param_fault`; the constructor refuses any other parameters.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,12 +31,40 @@ from . import vae as V
 from .config import ModelConfig
 from .errors import ConfigError, ShapeError
 from .rng import SeededStreams
-from .tensor import Tensor, expand_leading, slice_axis
+from .tensor import Tensor, active_tape, concat, expand_leading, slice_axis
 
 Params = dict[str, Tensor]
 
 # images per eval-mode forward in `predict` and `analysis.latent_stats`
 EVAL_CHUNK = 256
+
+# A tape-free forward splits its batch for the encoder layers at a multiple of
+# this many images. BLAS groups rows, and an image is 25 or 17 rows, so only a
+# split on a whole group of images leaves every row's sums as they were; 64
+# covers any grouping up to 64 rows. A 64-image batch measured no gain from a
+# split, so batches under 128 images run whole.
+SPLIT_IMAGES = 64
+
+# runs the second row range of a split forward; its thread starts on first use
+_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="v2apt-encoder")
+
+
+@functools.cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Get and set the thread count of the OpenBLAS bundled with numpy, or
+    None where numpy carries no such library; a forward then runs whole."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @dataclass
@@ -144,22 +177,28 @@ class PromptedClassifier:
 
     # -- forward -----------------------------------------------------------
 
+    def posterior(self, images: np.ndarray) -> tuple[Tensor, V.LatentDistribution | None]:
+        """Patch embeddings of a pixel batch and, with a generator, the latent
+        posterior over them (None without one)."""
+        embeddings = B.patch_embed(images, self.params, self.cfg)
+        if not self.has_generator:
+            return embeddings, None
+        return embeddings, V.encode(V.pool_input_embeddings(embeddings), self.params, self.cfg)
+
     def _composed_prompts(
-        self, embeddings: Tensor, batch: int, rng: np.random.Generator | None
-    ) -> tuple[list[list[Tensor]], Tensor | None, V.LatentDistribution | None]:
+        self, dist: V.LatentDistribution | None, batch: int, rng: np.random.Generator | None
+    ) -> tuple[list[list[Tensor]], Tensor | None]:
         cfg = self.cfg
-        inst = dom = kl = dist = None
-        if self.has_generator:
-            pooled = V.pool_input_embeddings(embeddings)
-            dist = V.encode(pooled, self.params, cfg)
-            z = V.reparameterize(dist, rng)
-            inst = V.decode(z, self.params, cfg)
+        inst = dom = kl = None
+        if dist is not None:
+            inst = V.decode(V.reparameterize(dist, rng), self.params, cfg)
+            # after the decoder, so that the tape keeps the order its gradients sum in
             kl = V.kl_divergence(dist)
         if self.has_prompts:
             dom = [
                 expand_leading(self.params[f"prompts.{i}"], batch) for i in range(cfg.depth)
             ]
-        return V.compose_prompts(inst, dom) or [[] for _ in range(cfg.depth)], kl, dist
+        return V.compose_prompts(inst, dom) or [[] for _ in range(cfg.depth)], kl
 
     def forward(
         self,
@@ -173,34 +212,75 @@ class PromptedClassifier:
         the posterior mean (evaluation). Nothing else differs: there is no
         dropout. With `capture_layers`, the composed prompt inputs and output
         patch tokens of those layers are returned as plain arrays for analysis.
+
+        With no tape open and no layer captured, a batch of at least
+        2 * SPLIT_IMAGES images runs its encoder layers on two row ranges at
+        once, one on a worker thread, with OpenBLAS at one thread for the
+        whole forward. The values are those of the sequential path, bit for bit.
         """
-        cfg = self.cfg
         if images.ndim != 4:
             raise ShapeError(f"expected (B, H, W, C) pixels, got {images.shape}")
-        batch = images.shape[0]
-        embeddings = B.patch_embed(images, self.params, cfg)
-        composed, kl, dist = self._composed_prompts(embeddings, batch, rng)
+        split = images.shape[0] // (2 * SPLIT_IMAGES) * SPLIT_IMAGES
+        blas = _blas_threads() if split and not capture_layers and active_tape() is None else None
+        if blas is None:
+            return self._forward(images, rng, capture_layers, 0)
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)  # a second BLAS thread would spin on the worker's core
+        try:
+            return self._forward(images, rng, (), split)
+        finally:
+            set_threads(threads)
+
+    def _forward(
+        self, images: np.ndarray, rng: np.random.Generator | None,
+        capture_layers: Sequence[int], split: int,
+    ) -> ForwardResult:
+        cfg, batch = self.cfg, images.shape[0]
+        embeddings, dist = self.posterior(images)
+        composed, kl = self._composed_prompts(dist, batch, rng)
         x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
 
         captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the head reads only CLS: the last layer runs its queries and MLP on
         # that row alone, unless its patch tokens are captured
         cls_only = cfg.depth - 1 not in capture_layers
-        for i in range(cfg.depth):
-            # CLS and patches carry all cross-layer state; each layer's fresh
-            # prompt blocks join its keys and values only
-            rows = 1 if cls_only and i == cfg.depth - 1 else None
-            x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=composed[i])
-            if i in capture_layers:
-                blocks = [p.data for p in composed[i]] or [np.zeros((batch, 0, cfg.dim))]
-                prompt_in = np.concatenate(blocks, axis=-2)
-                captures[i] = (prompt_in, x.data[:, 1:].copy())
+        if split:
+            # the rows of different images never meet in the encoder layers
+            def layers(lo: int, hi: int) -> Tensor:
+                blocks = [[slice_axis(p, 0, lo, hi) for p in ps] for ps in composed]
+                return self._encoder(slice_axis(x, 0, lo, hi), blocks, cls_only, (), captures)
+
+            tail = _WORKER.submit(layers, split, batch)
+            try:
+                head = layers(0, split)
+            finally:
+                futures.wait([tail])
+            x = concat([head, tail.result()], axis=0)
+        else:
+            x = self._encoder(x, composed, cls_only, capture_layers, captures)
 
         if not cls_only:
             x = slice_axis(x, -2, 0, 1)
         cls_out = B.final_norm(x, self.params).reshape(batch, cfg.dim)
         logits = B.classify(cls_out, self.params)
         return ForwardResult(logits=logits, kl=kl, latent=dist, captures=captures)
+
+    def _encoder(
+        self, x: Tensor, composed: list[list[Tensor]], cls_only: bool,
+        capture_layers: Sequence[int], captures: dict[int, tuple[np.ndarray, np.ndarray]],
+    ) -> Tensor:
+        cfg = self.cfg
+        for i in range(cfg.depth):
+            # CLS and patches carry all cross-layer state; each layer's fresh
+            # prompt blocks join its keys and values only
+            rows = 1 if cls_only and i == cfg.depth - 1 else None
+            x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=composed[i])
+            if i in capture_layers:
+                blocks = [p.data for p in composed[i]] or [np.zeros((x.shape[0], 0, cfg.dim))]
+                prompt_in = np.concatenate(blocks, axis=-2)
+                captures[i] = (prompt_in, x.data[:, 1:].copy())
+        return x
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode class predictions; ties resolve to the lowest index."""

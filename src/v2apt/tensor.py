@@ -153,7 +153,8 @@ class TapeRecord(NamedTuple):
 _TAPE_STACK: list["Tape"] = []
 
 
-def _active_tape() -> "Tape | None":
+def active_tape() -> "Tape | None":
+    """The innermost open tape, or None when no primitive is being recorded."""
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
@@ -226,20 +227,32 @@ def record_operation(
 
     All built-in ops funnel through here; it is also the extension point for
     custom primitives (the adjoint receives d(loss)/d(output) and must
-    accumulate into the inputs' grads via `accumulate_grad`).
+    accumulate into the inputs' grads via `accumulate_grad`). `accumulate_grad`
+    takes ownership of the array it is given: an adjoint passes an array it
+    made and no one else holds, and copies `g`, or a view of it, before
+    passing it on.
     """
-    tape = _active_tape()
+    tape = active_tape()
     if tape is not None and output.requires_grad:
         tape._records.append(TapeRecord(op, tuple(inputs), output, adjoint))
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`; a first write keeps `g` itself, which the caller
+    hands over (see `record_operation`), cast to `t`'s dtype if it differs."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # an owned copy: `g` may alias another grad
+        ours = isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+        t.grad = g if ours else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
+
+
+def _pass_grad(t: Tensor, g: np.ndarray) -> None:
+    """`accumulate_grad` of `g` or a view of it, which other tensors may hold:
+    a first write takes a copy."""
+    accumulate_grad(t, np.array(g) if t.grad is None else g)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +315,12 @@ def add(a, b) -> Tensor:
     out = _out(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate_grad(a, _reduce_to(g, a.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _reduce_to(g, b.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                if t.shape == g.shape:
+                    _pass_grad(t, g)
+                else:
+                    accumulate_grad(t, _reduce_to(g, t.shape))
 
     record_operation("add", (a, b), out, adjoint)
     return out
@@ -406,7 +421,7 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     inverse = None if axes is None else tuple(np.argsort(axes))
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, np.transpose(g, inverse))
+        _pass_grad(a, np.transpose(g, inverse))
 
     record_operation("transpose", (a,), out, adjoint)
     return out
@@ -420,7 +435,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     out = _out(a.data.reshape(shape), a.requires_grad)
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, g.reshape(a.shape))
+        _pass_grad(a, g.reshape(a.shape))
 
     record_operation("reshape", (a,), out, adjoint)
     return out
@@ -448,7 +463,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             if p.requires_grad:
                 sl = [slice(None)] * rank
                 sl[ax] = slice(offset, offset + n)
-                accumulate_grad(p, g[tuple(sl)])
+                _pass_grad(p, g[tuple(sl)])
             offset += n
 
     record_operation("concat", tuple(parts), out, adjoint)
@@ -614,7 +629,7 @@ def gelu(a) -> Tensor:
     """
     a = as_tensor(a)
     x = np.ascontiguousarray(a.data).reshape(-1)
-    keep = a.requires_grad and _active_tape() is not None  # the adjoint needs the cdf
+    keep = a.requires_grad and active_tape() is not None  # the adjoint needs the cdf
     y = np.empty_like(x)
     cdf = np.empty_like(x) if keep else None
     _gelu(x, y, cdf)
@@ -656,7 +671,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     x2 = x.data.reshape(-1, k)
     rows = x2.shape[0]
     requires_grad = any(t.requires_grad for t in (x, w1, b1, w2, b2))
-    keep = requires_grad and _active_tape() is not None
+    keep = requires_grad and active_tape() is not None
     y = np.empty((rows, n), dtype=x2.dtype)
     pre = np.empty((rows if keep else min(rows, MLP_ROWS), h), dtype=x2.dtype)
     cdf = np.empty_like(pre) if keep else None

@@ -622,20 +622,32 @@ def test_easy3_pretrain_hits_95_within_preset_budget(tmp_path, capsys):
 def test_main_pins_heap_so_chunk_sized_temporaries_are_reused(tmp_path):
     # a fresh process, so no earlier large free has moved glibc's thresholds
     code = f"""
-import resource, numpy as np
+import resource, threading, numpy as np
 from v2apt.cli import main
 assert main(["gen-data", "--preset", "easy-3", "--out", {str(tmp_path / "d.v2ds")!r}]) == 0
 n = 256 * 17 * 192  # one 256-image chunk's MLP activation, float32
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def allocate(counts):
+    before = faults()
+    for _ in range(10):
+        np.ones(n, dtype=np.float32)
+    counts.append(faults() - before)
 np.ones(n, dtype=np.float32)  # the first use may grow the heap
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    np.ones(n, dtype=np.float32)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+counts = []
+allocate(counts)
+# a worker thread, as a split forward's, allocates from the same warm heap
+worker = threading.Thread(target=allocate, args=(counts,))
+worker.start()
+worker.join(timeout=60)
+assert not worker.is_alive()
+print(*counts)
 """
     proc = _child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     # mapped afresh, each array would fault in its 816 pages again
-    assert int(proc.stdout.split()[-1]) < 100
+    caller, worker = map(int, proc.stdout.split()[-2:])
+    assert caller < 100 and worker < 100, (caller, worker)
 
 
 def _fresh_process(code: str) -> str:

@@ -2,11 +2,13 @@
 
 import contextlib
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from v2apt import backbone as B
+from v2apt import model as M
 from v2apt import prompts as P
 from v2apt import tensor as T
 from v2apt import vae as V
@@ -108,8 +110,8 @@ def _old_path_forward(m, x, rng):
     patches] through full-row layers, the prompt outputs stripped and fresh
     prompts spliced in at every layer boundary."""
     cfg, batch, k = m.cfg, x.shape[0], m.active_budget
-    embeddings = B.patch_embed(x, m.params, cfg)
-    composed, kl, _ = m._composed_prompts(embeddings, batch, rng)
+    embeddings, dist = m.posterior(x)
+    composed, kl = m._composed_prompts(dist, batch, rng)
     cls = T.expand_leading(m.params["backbone.cls"], batch)
     seq = T.concat([cls, *composed[0], embeddings], axis=-2)
     for i in range(cfg.depth):
@@ -256,10 +258,11 @@ def test_default_tune_step_records():
         cfg = ModelConfig(**{**default_config().__dict__, "prompt_inst": prompt_inst})
         m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, SeededStreams(0)),
                                                cfg, SeededStreams(1))
-        x = np.random.default_rng(0).random((8, 16, 16, 1)).astype(np.float32)
+        # a batch a tape-free forward would split; under a tape it runs whole
+        x = np.random.default_rng(0).random((128, 16, 16, 1)).astype(np.float32)
         with Tape() as tape:
             out = m.forward(x, rng=SeededStreams(0).generator("eps"))
-            total_loss(out.logits, np.zeros(8, dtype=np.int64), out.kl, 1e-3)
+            total_loss(out.logits, np.zeros(128, dtype=np.int64), out.kl, 1e-3)
         ops = [r.op for r in tape.records]
         layers = ops[ops.index("layer_norm") - 1:ops.index("reshape", ops.index("layer_norm"))]
         assert layers.count("concat") == cfg.depth
@@ -394,3 +397,105 @@ def test_install_adapters_idempotent():
     m.install_adapters(streams)
     after = {n: p.data.tobytes() for n, p in m.params.items()}
     assert before == after
+
+
+# ---------------------------------------------------------------------------
+# the tape-free forward that runs its encoder layers on two row ranges at once
+
+
+def _default_model(flavor):
+    """A default-config model: a tuned v2apt or vpt transfer, or a bare backbone."""
+    cfg = ModelConfig(**{**default_config().__dict__, "prompt_inst": 0 if flavor == "vpt" else 4})
+    pre = PromptedClassifier.init(cfg, SeededStreams(0))
+    return pre if flavor == "bare" else PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(1))
+
+
+_LAYER = B.encoder_layer_forward
+
+
+def _spy_layers(monkeypatch, raise_on_worker=False):
+    """Record (rows, on the worker, active tape, dtype, BLAS threads) of every
+    encoder layer call, and optionally fail the worker's range."""
+    calls, caller, blas = [], threading.get_ident(), M._blas_threads()
+
+    def spy(i, tokens, *args, **kwargs):
+        on_worker = threading.get_ident() != caller
+        calls.append((tokens.shape[0], on_worker, T.active_tape(), tokens.data.dtype,
+                      blas and blas[0]()))
+        if raise_on_worker and on_worker:
+            raise RuntimeError("the second range failed")
+        return _LAYER(i, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(B, "encoder_layer_forward", spy)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", ["v2apt", "vpt", "bare"])
+@pytest.mark.parametrize("float64", [False, True])
+def test_split_forward_and_predict_equal_the_sequential_path_bit_for_bit(monkeypatch, flavor, float64):
+    if M._blas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        m = _default_model(flavor)
+        for n in (128, 256, 300, 2048):
+            x = np.random.default_rng(n).random((n, 16, 16, 1)).astype(np.float32)
+            logits, preds = m.forward(x).logits.data, m.predict(x)
+            with monkeypatch.context() as sequential:
+                sequential.setattr(M, "_blas_threads", lambda: None)
+                want_logits, want_preds = m.forward(x).logits.data, m.predict(x)
+            assert logits.dtype == want_logits.dtype == (np.float64 if float64 else np.float32)
+            assert np.array_equal(logits, want_logits), n
+            assert np.array_equal(preds, want_preds), n
+
+
+@pytest.mark.parametrize("float64", [False, True])
+def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypatch, float64):
+    if M._blas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
+    threads = M._blas_threads()[0]()
+    dtype = np.dtype(np.float64 if float64 else np.float32)
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        m = _default_model("v2apt")
+        depth = m.cfg.depth
+        for n, ranges in ((127, [(127, False)]), (128, [(64, False), (64, True)]),
+                          (300, [(128, False), (172, True)])):
+            calls = _spy_layers(monkeypatch)
+            m.forward(images(n))
+            assert sorted((rows, worker) for rows, worker, *_ in calls) == sorted(ranges * depth)
+            # both ranges run tape-free, in the caller's dtype, at one BLAS thread
+            want = (None, dtype, 1 if len(ranges) == 2 else threads)
+            assert {tuple(call[2:]) for call in calls} == {want}
+        # a forward under a tape, or one that captures a layer, runs whole
+        for tape, capture in ((Tape(), ()), (contextlib.nullcontext(), (0,))):
+            calls = _spy_layers(monkeypatch)
+            with tape:
+                m.forward(images(128), capture_layers=capture)
+            assert [(rows, worker) for rows, worker, *_ in calls] == [(128, False)] * depth
+
+
+def test_without_the_blas_hook_a_forward_runs_whole(monkeypatch):
+    m = _default_model("v2apt")
+    monkeypatch.setattr(M, "_blas_threads", lambda: None)
+    calls = _spy_layers(monkeypatch)
+    m.forward(images(256))
+    assert [(rows, worker) for rows, worker, *_ in calls] == [(256, False)] * m.cfg.depth
+
+
+def test_a_split_forward_restores_the_blas_threads_also_when_the_worker_raises(monkeypatch):
+    if M._blas_threads() is None:
+        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
+    get_threads, set_threads = M._blas_threads()
+    m, x, before = _default_model("v2apt"), images(300), get_threads()
+    try:
+        set_threads(2)
+        threads = get_threads()
+        want = m.forward(x).logits.data
+        assert get_threads() == threads
+        _spy_layers(monkeypatch, raise_on_worker=True)
+        with pytest.raises(RuntimeError, match="second range"):
+            m.forward(x)
+        assert get_threads() == threads
+        monkeypatch.undo()
+        assert np.array_equal(m.forward(x).logits.data, want)  # the worker still serves
+    finally:
+        set_threads(before)

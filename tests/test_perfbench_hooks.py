@@ -7,8 +7,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from v2apt import checkpoint, cli, model, tensor, trainer
-from v2apt.config import RunConfig, config_to_text, tiny_config
+from v2apt.config import RunConfig, config_to_text, default_config, tiny_config
+from v2apt.rng import SeededStreams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,3 +71,28 @@ def test_every_probed_span_opens_in_a_tune(monkeypatch, tmp_path):
     expected |= {f"backbone.layer{i}" for i in range(cfg.depth)}
     expected |= {"trainer.train", "trainer.step", "model.forward", "checkpoint.save", "checkpoint.load"}
     assert sorted(expected - {span[0] for span in tracer.spans}) == []
+
+
+def test_traced_predict_of_a_split_chunk_keeps_predictions_and_span_nesting(monkeypatch):
+    # the encoder worker opens its layer spans on the tracer's one stack
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    probes = importlib.import_module("probes")
+    cfg = default_config()
+    net = model.PromptedClassifier.from_pretrained(
+        model.PromptedClassifier.init(cfg, SeededStreams(0)), cfg, SeededStreams(1))
+    x = np.random.default_rng(0).random((model.EVAL_CHUNK, 16, 16, 1)).astype(np.float32)
+    want = net.predict(x)
+    tracer = probes.Tracer("hooks", "model.forward")
+    try:
+        tracer.install_base()
+        tracer.install_detail()
+        got = net.predict(x)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(got, want)
+    assert tracer._stack == []
+    forwards = [span for span in tracer.spans if span[0] == "model.forward"]
+    assert len(forwards) == 1
+    assert all(tracer.spans[span[3]][0] == "model.predict" for span in forwards)
+    layers = [span for span in tracer.spans if span[0].startswith("backbone.layer")]
+    assert len(layers) == (2 if model._blas_threads() else 1) * cfg.depth

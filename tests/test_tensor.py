@@ -416,6 +416,27 @@ def test_backward_keeps_gradients_only_on_leaves_and_the_loss():
     assert x.grad is not None and np.all(x.grad != 0)
 
 
+@pytest.mark.parametrize("case", ["a + a", "a + b", "reshape", "transpose", "concat"])
+def test_no_two_tensors_share_a_gradient_buffer_after_backward(case):
+    # each loss is the pass-through op's own output, whose gradient the tape
+    # keeps: a leaf gradient that aliased it, or another leaf's, would share its buffer
+    a = Tensor(np.array([[2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0]]), requires_grad=True)
+    empty = Tensor(np.zeros((1, 0)), requires_grad=True)
+    ops = {"a + a": lambda: a + a, "a + b": lambda: a + b, "reshape": lambda: a.reshape(1),
+           "transpose": lambda: a.transpose(), "concat": lambda: T.concat([a, empty], axis=1)}
+    with Tape() as tape:
+        loss = ops[case]()
+        tape.backward(loss)
+    np.testing.assert_array_equal(loss.grad, np.ones(loss.shape))
+    np.testing.assert_array_equal(a.grad, [[2.0 if case == "a + a" else 1.0]])
+    grads = [t.grad for t in (loss, a, b) if t.grad is not None]
+    assert len(grads) == (3 if case == "a + b" else 2)
+    for i, g in enumerate(grads):
+        for h in grads[i + 1:]:
+            assert not np.shares_memory(g, h), case
+
+
 def test_grad_accumulates_across_fanout():
     with Tape() as tape:
         x = Tensor(np.array([2.0]), requires_grad=True)
