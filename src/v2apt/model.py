@@ -45,9 +45,6 @@ EVAL_CHUNK = 256
 # split, so batches under 128 images run whole.
 SPLIT_IMAGES = 64
 
-# runs the second row range of a split forward; its thread starts on first use
-_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="v2apt-encoder")
-
 
 @functools.cache
 def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
@@ -213,19 +210,20 @@ class PromptedClassifier:
         dropout. With `capture_layers`, the composed prompt inputs and output
         patch tokens of those layers are returned as plain arrays for analysis.
 
-        With no tape open and no layer captured, a batch of at least
-        2 * SPLIT_IMAGES images runs its encoder layers on two row ranges at
-        once, one on a worker thread, with OpenBLAS at one thread for the
+        With no tape open and no layer captured, where OpenBLAS may run more
+        than one thread, a batch of at least 2 * SPLIT_IMAGES images runs its
+        encoder layers on two row ranges at once, one on a worker thread that
+        ends before the forward returns, with OpenBLAS at one thread for the
         whole forward. The values are those of the sequential path, bit for bit.
         """
         if images.ndim != 4:
             raise ShapeError(f"expected (B, H, W, C) pixels, got {images.shape}")
         split = images.shape[0] // (2 * SPLIT_IMAGES) * SPLIT_IMAGES
         blas = _blas_threads() if split and not capture_layers and active_tape() is None else None
-        if blas is None:
+        threads = blas[0]() if blas else 1
+        if threads < 2:  # on one core the two ranges would only take turns
             return self._forward(images, rng, capture_layers, 0)
-        get_threads, set_threads = blas
-        threads = get_threads()
+        set_threads = blas[1]
         set_threads(1)  # a second BLAS thread would spin on the worker's core
         try:
             return self._forward(images, rng, (), split)
@@ -251,11 +249,11 @@ class PromptedClassifier:
                 blocks = [[slice_axis(p, 0, lo, hi) for p in ps] for ps in composed]
                 return self._encoder(slice_axis(x, 0, lo, hi), blocks, cls_only, (), captures)
 
-            tail = _WORKER.submit(layers, split, batch)
-            try:
+            # a worker per forward, joined before it returns: a child forked
+            # later inherits no executor whose thread it lacks
+            with futures.ThreadPoolExecutor(1, thread_name_prefix="v2apt-encoder") as worker:
+                tail = worker.submit(layers, split, batch)
                 head = layers(0, split)
-            finally:
-                futures.wait([tail])
             x = concat([head, tail.result()], axis=0)
         else:
             x = self._encoder(x, composed, cls_only, capture_layers, captures)

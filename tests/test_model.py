@@ -1,7 +1,10 @@
 """End-to-end model assembly tests: parity, determinism, gradient reach."""
 
 import contextlib
+import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -410,6 +413,20 @@ def _default_model(flavor):
     return pre if flavor == "bare" else PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(1))
 
 
+@pytest.fixture
+def blas():
+    """OpenBLAS's (get, set) thread hooks, at two threads for the test, as on
+    a two-core machine; restored after it."""
+    hooks = M._blas_threads()
+    if hooks is None:
+        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
+    get_threads, set_threads = hooks
+    before = get_threads()
+    set_threads(2)
+    yield hooks
+    set_threads(before)
+
+
 _LAYER = B.encoder_layer_forward
 
 
@@ -432,9 +449,8 @@ def _spy_layers(monkeypatch, raise_on_worker=False):
 
 @pytest.mark.parametrize("flavor", ["v2apt", "vpt", "bare"])
 @pytest.mark.parametrize("float64", [False, True])
-def test_split_forward_and_predict_equal_the_sequential_path_bit_for_bit(monkeypatch, flavor, float64):
-    if M._blas_threads() is None:
-        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
+def test_split_forward_and_predict_equal_the_sequential_path_bit_for_bit(
+        monkeypatch, blas, flavor, float64):
     with T.float64_mode() if float64 else contextlib.nullcontext():
         m = _default_model(flavor)
         for n in (128, 256, 300, 2048):
@@ -449,10 +465,7 @@ def test_split_forward_and_predict_equal_the_sequential_path_bit_for_bit(monkeyp
 
 
 @pytest.mark.parametrize("float64", [False, True])
-def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypatch, float64):
-    if M._blas_threads() is None:
-        pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
-    threads = M._blas_threads()[0]()
+def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypatch, blas, float64):
     dtype = np.dtype(np.float64 if float64 else np.float32)
     with T.float64_mode() if float64 else contextlib.nullcontext():
         m = _default_model("v2apt")
@@ -463,7 +476,7 @@ def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypa
             m.forward(images(n))
             assert sorted((rows, worker) for rows, worker, *_ in calls) == sorted(ranges * depth)
             # both ranges run tape-free, in the caller's dtype, at one BLAS thread
-            want = (None, dtype, 1 if len(ranges) == 2 else threads)
+            want = (None, dtype, 1 if len(ranges) == 2 else 2)
             assert {tuple(call[2:]) for call in calls} == {want}
         # a forward under a tape, or one that captures a layer, runs whole
         for tape, capture in ((Tape(), ()), (contextlib.nullcontext(), (0,))):
@@ -471,6 +484,17 @@ def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypa
             with tape:
                 m.forward(images(128), capture_layers=capture)
             assert [(rows, worker) for rows, worker, *_ in calls] == [(128, False)] * depth
+
+
+def test_with_blas_at_one_thread_a_forward_runs_whole(monkeypatch, blas):
+    # one core, or a caller that asked OpenBLAS for one thread
+    m = _default_model("v2apt")
+    get_threads, set_threads = blas
+    set_threads(1)
+    calls = _spy_layers(monkeypatch)
+    m.forward(images(256))
+    assert [(rows, worker) for rows, worker, *_ in calls] == [(256, False)] * m.cfg.depth
+    assert get_threads() == 1
 
 
 def test_without_the_blas_hook_a_forward_runs_whole(monkeypatch):
@@ -481,21 +505,49 @@ def test_without_the_blas_hook_a_forward_runs_whole(monkeypatch):
     assert [(rows, worker) for rows, worker, *_ in calls] == [(256, False)] * m.cfg.depth
 
 
-def test_a_split_forward_restores_the_blas_threads_also_when_the_worker_raises(monkeypatch):
+def test_a_split_forward_restores_the_blas_threads_also_when_the_worker_raises(monkeypatch, blas):
+    get_threads, _ = blas
+    m, x = _default_model("v2apt"), images(300)
+    want = m.forward(x).logits.data
+    assert get_threads() == 2
+    _spy_layers(monkeypatch, raise_on_worker=True)
+    with pytest.raises(RuntimeError, match="second range"):
+        m.forward(x)
+    assert get_threads() == 2
+    monkeypatch.undo()
+    assert np.array_equal(m.forward(x).logits.data, want)
+    assert not [t for t in threading.enumerate() if t.name.startswith("v2apt-encoder")]
+
+
+def test_a_split_forward_runs_in_a_process_forked_after_one():
+    # no worker thread outlives a forward, so a forked child has none to wait on
     if M._blas_threads() is None:
         pytest.skip("numpy carries no OpenBLAS whose threads the forward can set")
-    get_threads, set_threads = M._blas_threads()
-    m, x, before = _default_model("v2apt"), images(300), get_threads()
-    try:
-        set_threads(2)
-        threads = get_threads()
-        want = m.forward(x).logits.data
-        assert get_threads() == threads
-        _spy_layers(monkeypatch, raise_on_worker=True)
-        with pytest.raises(RuntimeError, match="second range"):
-            m.forward(x)
-        assert get_threads() == threads
-        monkeypatch.undo()
-        assert np.array_equal(m.forward(x).logits.data, want)  # the worker still serves
-    finally:
-        set_threads(before)
+    code = """
+import os, signal, threading, numpy as np
+from v2apt import model as M
+from v2apt.config import default_config
+from v2apt.rng import SeededStreams
+get_threads, set_threads = M._blas_threads()
+set_threads(2)
+cfg = default_config()
+m = M.PromptedClassifier.from_pretrained(M.PromptedClassifier.init(cfg, SeededStreams(0)),
+                                         cfg, SeededStreams(1))
+x = np.random.default_rng(0).random((256, 16, 16, 1)).astype(np.float32)
+want = m.forward(x).logits.data
+assert not [t for t in threading.enumerate() if t.name.startswith("v2apt-encoder")]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)  # a deadlocked child dies instead of hanging the test
+    set_threads(2)
+    os._exit(0 if np.array_equal(m.forward(x).logits.data, want) else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "0"
