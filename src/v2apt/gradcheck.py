@@ -86,7 +86,7 @@ def finite_diff_check(
             raise ValidationError(f"build_loss must return a scalar, got shape {loss.shape}")
         tape.backward(loss)
 
-    consumers: dict[int, list[str]] = {id(p): [] for p in params.values()}
+    consumers: dict[int, list[str]] = {id(p.node): [] for p in params.values()}
     for rec in tape.records:
         for t in rec.inputs:
             ops = consumers.get(id(t))
@@ -121,7 +121,7 @@ def finite_diff_check(
             name=name,
             max_rel_err=rel,
             worst_index=tuple(int(i) for i in worst),
-            ops=tuple(consumers[id(p)]),
+            ops=tuple(consumers[id(p.node)]),
             passed=rel < tol,
         )
     return report

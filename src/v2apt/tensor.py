@@ -13,6 +13,13 @@ Adjoints are frozen-aware: a multi-input primitive computes the gradient of
 an input only when that input requires one, so a frozen weight costs no
 backward work. `linear`, affine `layer_norm`, `attention` and `mlp` are fused
 primitives, one tape record each, for the transformer's hot path.
+
+A tape record keeps its inputs' and output's nodes (`Tensor.node`: the
+gradient slot without the value) and the arrays its adjoint reads, nothing
+else, so an intermediate's value is freed as soon as the forward code drops
+it unless an adjoint reads it. A primitive builds nodes and its adjoint only
+when a tape records it. Custom primitives keep the same rule (see
+`record_operation`).
 """
 
 from __future__ import annotations
@@ -50,24 +57,72 @@ class float64_mode:
         return False
 
 
-class Tensor:
-    """A dense array plus an optional gradient buffer.
+class Node:
+    """The gradient slot of a tensor, apart from its value.
 
-    Tensors are immutable after construction except for `grad`; operations
-    return new tensors and record their adjoints on the active tape whenever
-    an input requires a gradient.
+    Tape records and adjoints hold nodes, never tensors, so a tape keeps an
+    intermediate's value only where an adjoint reads it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("requires_grad", "grad", "shape", "dtype")
+
+    def __init__(self, requires_grad: bool, shape: tuple[int, ...], dtype: np.dtype):
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense array plus a gradient slot.
+
+    Tensors are immutable after construction except for `requires_grad` and
+    `grad`; operations return new tensors and record their adjoints on the
+    active tape whenever an input requires a gradient. The gradient lives on
+    the tensor's `node`, which is made only when a tape records the tensor or
+    a gradient is written, so a tape-free forward makes none.
+    """
+
+    __slots__ = ("data", "_requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=active_dtype())
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._requires_grad = bool(requires_grad)
+        self._node: Node | None = None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._requires_grad = bool(value)
+        if self._node is not None:
+            self._node.requires_grad = self._requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if value is not None or self._node is not None:
+            self.node.grad = value
+
+    @property
+    def node(self) -> Node:
+        """This tensor's gradient slot, made on first use."""
+        if self._node is None:
+            self._node = Node(self._requires_grad, self.data.shape, self.data.dtype)
+        return self._node
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
@@ -130,12 +185,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _out(data: np.ndarray, requires_grad: bool) -> Tensor:
-    """Wrap an op result without changing its dtype."""
+def wrap(data: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """A tensor over `data` as it is: no copy and no cast to the active dtype."""
     t = Tensor.__new__(Tensor)
     t.data = data
-    t.requires_grad = requires_grad
-    t.grad = None
+    t._requires_grad = requires_grad
+    t._node = None
     return t
 
 
@@ -145,9 +200,8 @@ def _out(data: np.ndarray, requires_grad: bool) -> Tensor:
 
 class TapeRecord(NamedTuple):
     op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    adjoint: Callable[[np.ndarray], None]
+    inputs: tuple[Node, ...]
+    output: Node
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -156,6 +210,12 @@ _TAPE_STACK: list["Tape"] = []
 def active_tape() -> "Tape | None":
     """The innermost open tape, or None when no primitive is being recorded."""
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+def _taped(out: Tensor) -> bool:
+    """Whether the active tape records the op that made `out`; only then does
+    a primitive make nodes and an adjoint."""
+    return out._requires_grad and bool(_TAPE_STACK)
 
 
 class Tape:
@@ -168,6 +228,8 @@ class Tape:
 
     def __init__(self):
         self._records: list[TapeRecord] = []
+        self._adjoints: list[Callable[[np.ndarray], None]] = []
+        self._ran = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -192,29 +254,37 @@ class Tape:
         A leaf is an input that no record on this tape produced. Each
         intermediate's gradient is dropped as soon as its record's adjoint
         has consumed it, so intermediates end with `grad` None and only the
-        loss keeps its own. Trainable leaves that do not reach the loss end
-        with an all-zero buffer rather than None, so callers can treat every
-        recorded leaf uniformly.
+        loss keeps its own. Each adjoint is dropped, with the arrays it
+        saved, once it has run, so a tape runs backward once; `records`
+        stays whole. Trainable leaves that do not reach the loss end with an
+        all-zero buffer rather than None, so callers can treat every recorded
+        leaf uniformly.
         """
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._ran:
+            raise ContractError("backward already ran on this tape; record a new one")
         if not self._records:
             raise ContractError("backward on an empty tape")
-        if not any(rec.output is loss for rec in self._records):
+        root = loss._node
+        if root is None or not any(rec.output is root for rec in self._records):
             raise ContractError("loss tensor was not produced on this tape")
-        loss.grad = np.ones_like(loss.data)
+        self._ran = True
+        root.grad = np.ones(root.shape, dtype=root.dtype)
+        adjoints = self._adjoints
         for rec in reversed(self._records):
             out = rec.output
             if out.grad is None:
-                continue  # this branch never reached the loss
-            rec.adjoint(out.grad)
-            if out is not loss:
+                adjoints.pop()  # this branch never reached the loss
+                continue
+            adjoints.pop()(out.grad)
+            if out is not root:
                 out.grad = None  # every consumer of `out` has already run
         produced = {id(rec.output) for rec in self._records}
         for rec in self._records:
             for t in rec.inputs:
                 if t.requires_grad and t.grad is None and id(t) not in produced:
-                    t.grad = np.zeros_like(t.data)
+                    t.grad = np.zeros(t.shape, dtype=t.dtype)
 
 
 def record_operation(
@@ -227,29 +297,33 @@ def record_operation(
 
     All built-in ops funnel through here; it is also the extension point for
     custom primitives (the adjoint receives d(loss)/d(output) and must
-    accumulate into the inputs' grads via `accumulate_grad`). `accumulate_grad`
-    takes ownership of the array it is given: an adjoint passes an array it
-    made and no one else holds, and copies `g`, or a view of it, before
-    passing it on.
+    accumulate into the inputs' grads via `accumulate_grad`). The record
+    keeps the nodes of `inputs` and `output`, never the tensors; the adjoint
+    should close over those nodes (`Tensor.node`) and the arrays it reads,
+    nothing else, so that a value no adjoint reads is freed when the forward
+    code drops it. `accumulate_grad` takes ownership of the array it is
+    given: an adjoint passes an array it made and no one else holds, and
+    copies `g`, or a view of it, before passing it on.
     """
     tape = active_tape()
     if tape is not None and output.requires_grad:
-        tape._records.append(TapeRecord(op, tuple(inputs), output, adjoint))
+        tape._records.append(TapeRecord(op, tuple(t.node for t in inputs), output.node))
+        tape._adjoints.append(adjoint)
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+def accumulate_grad(t: Node | Tensor, g: np.ndarray) -> None:
     """Add `g` into `t.grad`; a first write keeps `g` itself, which the caller
     hands over (see `record_operation`), cast to `t`'s dtype if it differs."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        ours = isinstance(g, np.ndarray) and g.dtype == t.data.dtype
-        t.grad = g if ours else np.array(g, dtype=t.data.dtype)
+        ours = isinstance(g, np.ndarray) and g.dtype == t.dtype
+        t.grad = g if ours else np.array(g, dtype=t.dtype)
     else:
         t.grad += g
 
 
-def _pass_grad(t: Tensor, g: np.ndarray) -> None:
+def _pass_grad(t: Node, g: np.ndarray) -> None:
     """`accumulate_grad` of `g` or a view of it, which other tensors may hold:
     a first write takes a copy."""
     accumulate_grad(t, np.array(g) if t.grad is None else g)
@@ -312,10 +386,13 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b, "add")
-    out = _out(a.data + b.data, a.requires_grad or b.requires_grad)
+    out = wrap(a.data + b.data, a.requires_grad or b.requires_grad)
+    if not _taped(out):
+        return out
+    nodes = (a.node, b.node)
 
     def adjoint(g: np.ndarray) -> None:
-        for t in (a, b):
+        for t in nodes:
             if t.requires_grad:
                 if t.shape == g.shape:
                     _pass_grad(t, g)
@@ -329,13 +406,19 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _binary_shapes(a, b, "mul")
-    out = _out(a.data * b.data, a.requires_grad or b.requires_grad)
+    out = wrap(a.data * b.data, a.requires_grad or b.requires_grad)
+    if not _taped(out):
+        return out
+    an, bn = a.node, b.node
+    # each operand is kept only for the other's gradient
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate_grad(a, _reduce_to(g * b.data, a.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _reduce_to(g * a.data, b.shape))
+        if an.requires_grad:
+            accumulate_grad(an, _reduce_to(g * bv, an.shape))
+        if bn.requires_grad:
+            accumulate_grad(bn, _reduce_to(g * av, bn.shape))
 
     record_operation("mul", (a, b), out, adjoint)
     return out
@@ -343,10 +426,13 @@ def mul(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = _out(-a.data, a.requires_grad)
+    out = wrap(-a.data, a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, -g)
+        accumulate_grad(an, -g)
 
     record_operation("neg", (a,), out, adjoint)
     return out
@@ -367,18 +453,24 @@ def matmul(a, b) -> Tensor:
     shared_rhs = b.ndim == 2 and a.ndim > 2
     if not shared_rhs and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dimensions differ: {a.shape} @ {b.shape}")
-    out = _out(a.data @ b.data, a.requires_grad or b.requires_grad)
+    out = wrap(a.data @ b.data, a.requires_grad or b.requires_grad)
+    if not _taped(out):
+        return out
+    an, bn = a.node, b.node
+    # each operand is kept only for the other's gradient
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
 
     def adjoint(g: np.ndarray) -> None:
-        if a.requires_grad:
-            accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
-        if not b.requires_grad:
+        if an.requires_grad:
+            accumulate_grad(an, g @ np.swapaxes(bv, -1, -2))
+        if not bn.requires_grad:
             return
         if shared_rhs:
-            k, n = b.shape
-            accumulate_grad(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            k, n = bn.shape
+            accumulate_grad(bn, av.reshape(-1, k).T @ g.reshape(-1, n))
         else:
-            accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
+            accumulate_grad(bn, np.swapaxes(av, -1, -2) @ g)
 
     record_operation("matmul", (a, b), out, adjoint)
     return out
@@ -389,7 +481,7 @@ def linear(x, w, b) -> Tensor:
 
     `w` is (k, n) and `b` is (n,). The leading axes of `x` are flattened into
     one 2-D product, and the bias is added in place: one tape record instead
-    of a matmul and an add.
+    of a matmul and an add. Under a tape `x` is kept only when `w` trains.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
@@ -400,16 +492,21 @@ def linear(x, w, b) -> Tensor:
     x2 = x.data.reshape(-1, k)
     y = x2 @ w.data
     y += b.data
-    out = _out(y.reshape(x.shape[:-1] + (n,)), x.requires_grad or w.requires_grad or b.requires_grad)
+    out = wrap(y.reshape(x.shape[:-1] + (n,)), x.requires_grad or w.requires_grad or b.requires_grad)
+    if not _taped(out):
+        return out
+    xn, wn, bn = x.node, w.node, b.node
+    x2 = x2 if w.requires_grad else None
+    wv = w.data if x.requires_grad else None
 
     def adjoint(g: np.ndarray) -> None:
         g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            accumulate_grad(x, (g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            accumulate_grad(w, x2.T @ g2)
-        if b.requires_grad:
-            accumulate_grad(b, g2.sum(axis=0))
+        if xn.requires_grad:
+            accumulate_grad(xn, (g2 @ wv.T).reshape(xn.shape))
+        if wn.requires_grad:
+            accumulate_grad(wn, x2.T @ g2)
+        if bn.requires_grad:
+            accumulate_grad(bn, g2.sum(axis=0))
 
     record_operation("linear", (x, w, b), out, adjoint)
     return out
@@ -417,11 +514,14 @@ def linear(x, w, b) -> Tensor:
 
 def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     a = as_tensor(a)
-    out = _out(np.transpose(a.data, axes), a.requires_grad)
+    out = wrap(np.transpose(a.data, axes), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
     inverse = None if axes is None else tuple(np.argsort(axes))
 
     def adjoint(g: np.ndarray) -> None:
-        _pass_grad(a, np.transpose(g, inverse))
+        _pass_grad(an, np.transpose(g, inverse))
 
     record_operation("transpose", (a,), out, adjoint)
     return out
@@ -432,10 +532,13 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = _out(a.data.reshape(shape), a.requires_grad)
+    out = wrap(a.data.reshape(shape), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
-        _pass_grad(a, g.reshape(a.shape))
+        _pass_grad(an, g.reshape(an.shape))
 
     record_operation("reshape", (a,), out, adjoint)
     return out
@@ -454,19 +557,22 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         other = list(p.shape)
         if len(other) != rank or other[:ax] + other[ax + 1:] != ref[:ax] + ref[ax + 1:]:
             raise ShapeError(f"concat: incompatible shapes {parts[0].shape} and {p.shape} on axis {axis}")
-    out = _out(np.concatenate([p.data for p in parts], axis=ax), any(p.requires_grad for p in parts))
-    extents = [p.shape[ax] for p in parts]
+    out = wrap(np.concatenate([p.data for p in parts], axis=ax), any(p.requires_grad for p in parts))
+    if not _taped(out):
+        return out
+    nodes = [p.node for p in parts]
 
     def adjoint(g: np.ndarray) -> None:
         offset = 0
-        for p, n in zip(parts, extents):
+        for p in nodes:
+            n = p.shape[ax]
             if p.requires_grad:
                 sl = [slice(None)] * rank
                 sl[ax] = slice(offset, offset + n)
                 _pass_grad(p, g[tuple(sl)])
             offset += n
 
-    record_operation("concat", tuple(parts), out, adjoint)
+    record_operation("concat", parts, out, adjoint)
     return out
 
 
@@ -480,13 +586,16 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[ax] = slice(start, stop)
     index = tuple(index)
-    out = _out(a.data[index], a.requires_grad)
+    out = wrap(a.data[index], a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
         # write the rows in place; a full-size buffer would be copied again
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
+        if an.grad is None:
+            an.grad = np.zeros(an.shape, dtype=an.dtype)
+        an.grad[index] += g
 
     record_operation("slice", (a,), out, adjoint)
     return out
@@ -495,10 +604,13 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 def expand_leading(a, n: int) -> Tensor:
     """Stack `n` copies of `a` along a new leading axis; adjoint sums them."""
     a = as_tensor(a)
-    out = _out(np.broadcast_to(a.data, (n,) + a.shape).copy(), a.requires_grad)
+    out = wrap(np.broadcast_to(a.data, (n,) + a.shape).copy(), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, g.sum(axis=0))
+        accumulate_grad(an, g.sum(axis=0))
 
     record_operation("expand_leading", (a,), out, adjoint)
     return out
@@ -509,13 +621,16 @@ def tsum(a, axis: int | None = None) -> Tensor:
     ax = None if axis is None else (axis + a.ndim if axis < 0 else axis)
     if ax is not None and not 0 <= ax < a.ndim:
         raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
-    out = _out(a.data.sum(axis=ax), a.requires_grad)
+    out = wrap(a.data.sum(axis=ax), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
         if ax is None:
-            accumulate_grad(a, np.broadcast_to(g, a.shape).copy())
+            accumulate_grad(an, np.broadcast_to(g, an.shape).copy())
         else:
-            accumulate_grad(a, np.broadcast_to(np.expand_dims(g, ax), a.shape).copy())
+            accumulate_grad(an, np.broadcast_to(np.expand_dims(g, ax), an.shape).copy())
 
     record_operation("sum", (a,), out, adjoint)
     return out
@@ -530,13 +645,16 @@ def tmean(a, axis: int | None = None) -> Tensor:
     if count == 0:
         raise ShapeError("mean over zero elements")
     inv = 1.0 / count
-    out = _out(a.data.mean(axis=ax), a.requires_grad)
+    out = wrap(a.data.mean(axis=ax), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
         if ax is None:
-            accumulate_grad(a, np.broadcast_to(g * inv, a.shape).copy())
+            accumulate_grad(an, np.broadcast_to(g * inv, an.shape).copy())
         else:
-            accumulate_grad(a, np.broadcast_to(np.expand_dims(g * inv, ax), a.shape).copy())
+            accumulate_grad(an, np.broadcast_to(np.expand_dims(g * inv, ax), an.shape).copy())
 
     record_operation("mean", (a,), out, adjoint)
     return out
@@ -544,10 +662,14 @@ def tmean(a, axis: int | None = None) -> Tensor:
 
 def texp(a) -> Tensor:
     a = as_tensor(a)
-    out = _out(np.exp(a.data), a.requires_grad)
+    y = np.exp(a.data)
+    out = wrap(y, a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, g * out.data)
+        accumulate_grad(an, g * y)
 
     record_operation("exp", (a,), out, adjoint)
     return out
@@ -633,10 +755,13 @@ def gelu(a) -> Tensor:
     y = np.empty_like(x)
     cdf = np.empty_like(x) if keep else None
     _gelu(x, y, cdf)
-    out = _out(y.reshape(a.shape), a.requires_grad)
+    out = wrap(y.reshape(a.shape), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
-        accumulate_grad(a, (g.reshape(-1) * _gelu_slope(x, cdf)).reshape(a.shape))
+        accumulate_grad(an, (g.reshape(-1) * _gelu_slope(x, cdf)).reshape(an.shape))
 
     record_operation("gelu", (a,), out, adjoint)
     return out
@@ -654,11 +779,12 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
 
     One tape record whose values equal `linear`, `gelu`, `linear` bit for
     bit. The rows run in blocks of MLP_ROWS. Under a tape the pre-activation
-    and Phi of the hidden layer are kept for the adjoint, and the GELU output
-    only when `w2` needs a gradient. Keeping that output rather than
-    recomputing it in the adjoint adds 2.6 MB to the 19.9 MB peak of a
-    default batch-64 pretrain step and saves a GELU pass per layer, which
-    made the step about 30% slower (2-core x86-64, two BLAS threads).
+    and Phi of the hidden layer are kept for the adjoint, the input only when
+    `w1` needs a gradient, and the GELU output only when `w2` does. Keeping
+    that output rather than recomputing it in the adjoint adds 2.6 MB to the
+    19.9 MB peak of a default batch-64 pretrain step and saves a GELU pass
+    per layer, which made the step about 30% slower (2-core x86-64, two BLAS
+    threads).
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (w1.ndim != 2 or w2.ndim != 2 or x.ndim < 1
@@ -686,27 +812,31 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
         _gelu(p.reshape(-1), a.reshape(-1), cdf[lo:hi].reshape(-1) if keep else None)
         np.matmul(a, w2.data, out=y[lo:hi])
         y[lo:hi] += b2.data
-    if not keep_act:
-        act = None  # one block of scratch; the adjoint reads `act` only when w2 trains
-    out = _out(y.reshape(x.shape[:-1] + (n,)), requires_grad)
+    out = wrap(y.reshape(x.shape[:-1] + (n,)), requires_grad)
+    if not _taped(out):
+        return out
+    xn, w1n, b1n, w2n, b2n = (t.node for t in (x, w1, b1, w2, b2))
+    w1v, w2v = w1.data, w2.data
+    x2 = x2 if w1.requires_grad else None
+    act = act if keep_act else None  # one block of scratch otherwise
 
     def adjoint(g: np.ndarray) -> None:
         g2 = g.reshape(-1, n)
-        if b2.requires_grad:
-            accumulate_grad(b2, g2.sum(axis=0))
-        if w2.requires_grad:
-            accumulate_grad(w2, act.T @ g2)
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+        if b2n.requires_grad:
+            accumulate_grad(b2n, g2.sum(axis=0))
+        if w2n.requires_grad:
+            accumulate_grad(w2n, act.T @ g2)
+        if not (xn.requires_grad or w1n.requires_grad or b1n.requires_grad):
             return
-        dh = g2 @ w2.data.T
+        dh = g2 @ w2v.T
         for lo in range(0, rows, MLP_ROWS):
             dh[lo:lo + MLP_ROWS] *= _gelu_slope(pre[lo:lo + MLP_ROWS], cdf[lo:lo + MLP_ROWS])
-        if w1.requires_grad:
-            accumulate_grad(w1, x2.T @ dh)
-        if b1.requires_grad:
-            accumulate_grad(b1, dh.sum(axis=0))
-        if x.requires_grad:
-            accumulate_grad(x, (dh @ w1.data.T).reshape(x.shape))
+        if w1n.requires_grad:
+            accumulate_grad(w1n, x2.T @ dh)
+        if b1n.requires_grad:
+            accumulate_grad(b1n, dh.sum(axis=0))
+        if xn.requires_grad:
+            accumulate_grad(xn, (dh @ w1v.T).reshape(xn.shape))
 
     record_operation("mlp", (x, w1, b1, w2, b2), out, adjoint)
     return out
@@ -718,11 +848,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     if not 0 <= ax < a.ndim:
         raise ShapeError(f"softmax: axis {axis} out of range for rank {a.ndim}")
     y = np.moveaxis(_softmax_rows(np.moveaxis(a.data, ax, -1).copy()), -1, ax)
-    out = _out(y, a.requires_grad)
+    out = wrap(y, a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
 
     def adjoint(g: np.ndarray) -> None:
         inner = (g * y).sum(axis=ax, keepdims=True)
-        accumulate_grad(a, y * (g - inner))
+        accumulate_grad(an, y * (g - inner))
 
     record_operation("softmax", (a,), out, adjoint)
     return out
@@ -760,22 +893,29 @@ def attention(q, k, v, heads: int) -> Tensor:
     p = q4 @ np.swapaxes(k4, -1, -2)
     p *= scale
     _softmax_rows(p)
-    out = _out(merge(p @ v4), q.requires_grad or k.requires_grad or v.requires_grad)
+    out = wrap(merge(p @ v4), q.requires_grad or k.requires_grad or v.requires_grad)
+    if not _taped(out):
+        return out
+    qn, kn, vn = q.node, k.node, v.node
+    # the softmax is always kept; q, k and v only for each other's gradients
+    v4 = v4 if q.requires_grad or k.requires_grad else None
+    k4 = k4 if q.requires_grad else None
+    q4 = q4 if k.requires_grad else None
 
     def adjoint(g: np.ndarray) -> None:
         g4 = split(g)
-        if v.requires_grad:
-            accumulate_grad(v, merge(np.swapaxes(p, -1, -2) @ g4))
-        if not (q.requires_grad or k.requires_grad):
+        if vn.requires_grad:
+            accumulate_grad(vn, merge(np.swapaxes(p, -1, -2) @ g4))
+        if not (qn.requires_grad or kn.requires_grad):
             return
         ds = g4 @ np.swapaxes(v4, -1, -2)
         ds -= _row_sum(ds * p)
         ds *= p
         ds *= scale
-        if q.requires_grad:
-            accumulate_grad(q, merge(ds @ k4))
-        if k.requires_grad:
-            accumulate_grad(k, merge(np.swapaxes(ds, -1, -2) @ q4))
+        if qn.requires_grad:
+            accumulate_grad(qn, merge(ds @ k4))
+        if kn.requires_grad:
+            accumulate_grad(kn, merge(np.swapaxes(ds, -1, -2) @ q4))
 
     record_operation("attention", (q, k, v), out, adjoint)
     return out
@@ -803,19 +943,23 @@ def layer_norm(a, gamma, beta) -> Tensor:
     y = centered * inv
     z = y * gamma.data
     z += beta.data
-    out = _out(z, a.requires_grad or gamma.requires_grad or beta.requires_grad)
+    out = wrap(z, a.requires_grad or gamma.requires_grad or beta.requires_grad)
+    if not _taped(out):
+        return out
+    an, gn, bn = a.node, gamma.node, beta.node
+    gv = gamma.data
 
     def adjoint(g: np.ndarray) -> None:
-        if gamma.requires_grad:
-            accumulate_grad(gamma, (g * y).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            accumulate_grad(beta, g.reshape(-1, d).sum(axis=0))
-        if not a.requires_grad:
+        if gn.requires_grad:
+            accumulate_grad(gn, (g * y).reshape(-1, d).sum(axis=0))
+        if bn.requires_grad:
+            accumulate_grad(bn, g.reshape(-1, d).sum(axis=0))
+        if not an.requires_grad:
             return
-        g = g * gamma.data
+        g = g * gv
         gm = _row_sum(g) / d
         gym = _row_sum(g * y) / d
-        accumulate_grad(a, inv * (g - gm - y * gym))
+        accumulate_grad(an, inv * (g - gm - y * gym))
 
     record_operation("layer_norm", (a, gamma, beta), out, adjoint)
     return out
@@ -823,12 +967,15 @@ def layer_norm(a, gamma, beta) -> Tensor:
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
-    out = _out(np.clip(a.data, lo, hi), a.requires_grad)
+    out = wrap(np.clip(a.data, lo, hi), a.requires_grad)
+    if not _taped(out):
+        return out
+    an = a.node
+    # subgradient: pass-through on the closed interval, zero outside
+    mask = (a.data >= lo) & (a.data <= hi)
 
     def adjoint(g: np.ndarray) -> None:
-        # subgradient: pass-through on the closed interval, zero outside
-        mask = (a.data >= lo) & (a.data <= hi)
-        accumulate_grad(a, g * mask)
+        accumulate_grad(an, g * mask)
 
     record_operation("clamp", (a,), out, adjoint)
     return out
@@ -842,13 +989,16 @@ def embedding(table, indices) -> Tensor:
         raise ShapeError("embedding indices must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValidationError(f"embedding index out of range [0, {table.shape[0]})")
-    out = _out(table.data[idx], table.requires_grad)
+    out = wrap(table.data[idx], table.requires_grad)
+    if not _taped(out):
+        return out
+    tn = table.node
 
     def adjoint(g: np.ndarray) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+        if tn.requires_grad:
+            if tn.grad is None:
+                tn.grad = np.zeros(tn.shape, dtype=tn.dtype)
+            np.add.at(tn.grad, idx, g)
 
     record_operation("embedding", (table,), out, adjoint)
     return out
@@ -867,13 +1017,16 @@ def cross_entropy_with_logits(logits, labels) -> Tensor:
     shifted = logits.data - m
     lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
     picked = logits.data[np.arange(n), labels]
-    out = _out(np.asarray((lse - picked).mean(), dtype=logits.data.dtype), logits.requires_grad)
+    out = wrap(np.asarray((lse - picked).mean(), dtype=logits.data.dtype), logits.requires_grad)
+    if not _taped(out):
+        return out
+    ln = logits.node
 
     def adjoint(g: np.ndarray) -> None:
         e = np.exp(shifted)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        accumulate_grad(logits, p * (g / n))
+        accumulate_grad(ln, p * (g / n))
 
     record_operation("cross_entropy_with_logits", (logits,), out, adjoint)
     return out

@@ -87,11 +87,7 @@ class AdamW:
             m_hat = m / bc1
             v_hat = v / bc2
             new = p.data - lr * m_hat / (np.sqrt(v_hat) + run.adam_eps) - lr * run.weight_decay * p.data
-            fresh = Tensor.__new__(Tensor)
-            fresh.data = new.astype(p.data.dtype, copy=False)
-            fresh.requires_grad = True
-            fresh.grad = None
-            params[name] = fresh
+            params[name] = T.wrap(new.astype(p.data.dtype, copy=False), requires_grad=True)
 
 
 def warmup_beta(step: int, run: RunConfig) -> float:

@@ -153,3 +153,22 @@ def test_multilayer_composite_passes():
         report = finite_diff_check(build, {"w1": w1, "b1": b1, "w2": w2}, eps=1e-5, tol=1e-6)
     assert report.passed, report.summary()
     assert "matmul" in report.params["w1"].ops
+
+
+def test_each_parameter_lists_the_ops_that_consume_it_once_in_tape_order():
+    # tape records hold nodes; a parameter is matched by its node
+    g = np.random.default_rng(3)
+    with float64_mode():
+        x = Tensor(g.standard_normal((2, 3)))
+        w = Tensor(g.standard_normal((3, 3)), requires_grad=True)
+        b = Tensor(g.standard_normal(3), requires_grad=True)
+        s = Tensor(g.standard_normal(3), requires_grad=True)
+
+        def build():
+            y = T.linear(x, w, b)
+            return ((y * s) * s + s).sum()
+
+        report = finite_diff_check(build, {"w": w, "b": b, "s": s})
+    assert report.passed, report.summary()
+    assert {n: p.ops for n, p in report.params.items()} == {
+        "w": ("linear",), "b": ("linear",), "s": ("mul", "add")}

@@ -5,9 +5,11 @@ every original back."""
 import dataclasses
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from v2apt import checkpoint, cli, model, tensor, trainer
 from v2apt.config import RunConfig, config_to_text, default_config, tiny_config
@@ -98,3 +100,38 @@ def test_traced_predict_of_a_split_chunk_keeps_predictions_and_span_nesting(monk
     blas = model._blas_threads()
     splits = blas is not None and blas[0]() > 1
     assert len(layers) == (2 if splits else 1) * cfg.depth
+
+
+# per traced 2-step tiny tune: records per creating span, accumulate_grad
+# calls and the calls that keep a gradient; tape records that hold nodes
+# instead of tensors count as records that held tensors did
+TRACED_TUNE = {
+    "v2apt": ({"backbone.final_norm": 2, "backbone.head": 2, "backbone.layer0": 24,
+               "backbone.layer1": 26, "model.forward": 6, "trainer.loss": 6, "vae.decode": 8,
+               "vae.encode": 8, "vae.kl": 18, "vae.reparameterize": 8}, 142, 142),
+    "vpt": ({"backbone.final_norm": 2, "backbone.head": 2, "backbone.layer0": 24,
+             "backbone.layer1": 26, "model.forward": 6, "trainer.loss": 2}, 76, 76),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRACED_TUNE))
+def test_a_traced_tune_counts_the_records_and_gradients_it_always_has(monkeypatch, tmp_path, method):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    probes = importlib.import_module("probes")
+    cfg = dataclasses.replace(tiny_config(), num_classes=3)
+    config, data, pre = (str(tmp_path / name) for name in ("cfg.txt", "d.v2ds", "pre.v2ap"))
+    Path(config).write_text(config_to_text(cfg, RunConfig(batch_size=8, steps=2)))
+    assert cli.main(["gen-data", "--preset", "easy-3", "--out", data]) == 0
+    assert cli.main(["pretrain", "--config", config, "--data", data, "--out", pre]) == 0
+    tracer = probes.Tracer("hooks", "trainer.step")
+    try:
+        tracer.install_base()
+        tracer.install_detail()
+        assert tracer.call(["tune", "--config", config, "--backbone-ckpt", pre, "--data", data,
+                            "--method", method, "--out", str(tmp_path / "t.v2ap")]) == 0
+    finally:
+        tracer.uninstall()
+    per_span = Counter()
+    for (_group, span), n in tracer.records.items():
+        per_span[span] += n
+    assert (dict(per_span), tracer.grad_calls, tracer.grad_kept) == TRACED_TUNE[method]

@@ -1,6 +1,7 @@
 """Unit tests for the tape-based autodiff core."""
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -443,6 +444,87 @@ def test_grad_accumulates_across_fanout():
         loss = (x * x).sum()  # d/dx x^2 = 2x needs two accumulations
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [4.0])
+
+
+def test_a_second_backward_raises_and_the_records_stay_whole():
+    # a second pass once added every leaf gradient again: [2, 4] became [4, 8]
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        sq = x * x
+        loss = sq.sum()
+        tape.backward(loss)
+        with pytest.raises(errors.ContractError, match="already ran"):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    mul, total = tape.records
+    assert (mul.op, total.op) == ("mul", "sum")
+    assert mul.inputs[0] is x.node and mul.inputs[1] is x.node
+    assert mul.output is sq.node and total.inputs[0] is sq.node and total.output is loss.node
+
+
+def _saved(tape: Tape, op: str) -> dict[str, np.ndarray]:
+    """The arrays the adjoint of the tape's first `op` record closes over."""
+    adjoint = tape._adjoints[[r.op for r in tape.records].index(op)]
+    cells = zip(adjoint.__code__.co_freevars, adjoint.__closure__)
+    return {name: c.cell_contents for name, c in cells if isinstance(c.cell_contents, np.ndarray)}
+
+
+def test_a_tape_frees_each_value_no_adjoint_reads():
+    # records hold nodes, so a value lives on only in the arrays adjoints read
+    g = np.random.default_rng(0)
+    x = Tensor(g.standard_normal((2, 3, 4)), requires_grad=True)
+    prompt = Tensor(g.standard_normal((2, 1, 4)), requires_grad=True)
+    shift = Tensor(g.standard_normal(4), requires_grad=True)
+    w, b = Tensor(g.standard_normal((4, 4))), Tensor(np.zeros(4))  # frozen
+    w1, b1 = Tensor(g.standard_normal((4, 8))), Tensor(np.zeros(8))
+    w2, b2 = Tensor(g.standard_normal((8, 4))), Tensor(np.zeros(4))
+    with Tape() as tape:
+        context = T.concat([x, prompt], axis=-2)
+        shifted = context + shift
+        h = T.linear(shifted, w, b)
+        dead = [weakref.ref(t.data) for t in (context, shifted)]
+        del context, shifted
+        assert [r() for r in dead] == [None, None]  # concat and add outputs, frozen linear input
+        y = T.mlp(T.attention(h, h, h, heads=2), w1, b1, w2, b2)
+        del h
+        kept = [weakref.ref(_saved(tape, "attention")["p"]), weakref.ref(_saved(tape, "mlp")["pre"])]
+        loss = (y * y).sum()
+        del y
+        assert all(r() is not None for r in kept)  # the softmax and the pre-activation
+        tape.backward(loss)
+    assert [r() for r in kept] == [None, None]
+    assert x.grad is not None and prompt.grad is not None and shift.grad is not None
+
+
+def test_a_default_tune_forward_frees_each_layer_context_and_residual(monkeypatch):
+    # every layer norm input is a layer's context or residual, or the last
+    # layer's output; the tape keeps none of them
+    from types import SimpleNamespace
+
+    from v2apt import backbone
+    from v2apt.config import default_config
+    from v2apt.model import PromptedClassifier
+    from v2apt.rng import SeededStreams
+    from v2apt.trainer import total_loss
+
+    cfg = default_config()
+    m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, SeededStreams(0)),
+                                           cfg, SeededStreams(1))
+    inputs = []
+
+    def layer_norm(a, gamma, beta):
+        inputs.append(weakref.ref(a.data))
+        return T.layer_norm(a, gamma, beta)
+
+    monkeypatch.setattr(backbone, "T", SimpleNamespace(**{**vars(T), "layer_norm": layer_norm}))
+    images = np.random.default_rng(0).random((64, 16, 16, 1)).astype(np.float32)
+    with Tape() as tape:
+        out = m.forward(images, rng=SeededStreams(0).generator("eps"))
+        loss, _ = total_loss(out.logits, np.zeros(64, dtype=np.int64), out.kl, 1e-3)
+        assert len(inputs) == 2 * cfg.depth + 1
+        assert [r() for r in inputs] == [None] * len(inputs)
+        tape.backward(loss)
+    assert all(p.grad is not None for p in m.trainables().values())
 
 
 def test_no_recording_outside_tape():
