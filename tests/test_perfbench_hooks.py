@@ -50,8 +50,8 @@ def test_probes_install_and_uninstall_leave_the_program_as_it_was(monkeypatch):
     assert [key for key in before if after[key] is not before[key]] == []
 
 
-def test_every_probed_span_opens_in_a_tune(monkeypatch, tmp_path):
-    # a span that never opens reads as 0 ms, not as a failure
+def _traced_tune(monkeypatch, tmp_path, method: str):
+    """Probes and a 2-step tiny tune traced with every probe installed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     probes = importlib.import_module("probes")
     cfg = dataclasses.replace(tiny_config(), num_classes=3)
@@ -64,9 +64,15 @@ def test_every_probed_span_opens_in_a_tune(monkeypatch, tmp_path):
         tracer.install_base()
         tracer.install_detail()
         assert tracer.call(["tune", "--config", config, "--backbone-ckpt", pre, "--data", data,
-                            "--method", "v2apt", "--out", str(tmp_path / "t.v2ap")]) == 0
+                            "--method", method, "--out", str(tmp_path / "t.v2ap")]) == 0
     finally:
         tracer.uninstall()
+    return probes, cfg, tracer
+
+
+def test_every_probed_span_opens_in_a_tune(monkeypatch, tmp_path):
+    # a span that never opens reads as 0 ms, not as a failure
+    probes, cfg, tracer = _traced_tune(monkeypatch, tmp_path, "v2apt")
     # strip and splice have had no caller since prompt rows joined the keys and values only
     dead = {"prompts.strip", "prompts.splice"}
     expected = {name for _, _, name in probes.DETAIL_SPANS if isinstance(name, str)} - dead
@@ -116,21 +122,7 @@ TRACED_TUNE = {
 
 @pytest.mark.parametrize("method", sorted(TRACED_TUNE))
 def test_a_traced_tune_counts_the_records_and_gradients_it_always_has(monkeypatch, tmp_path, method):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    probes = importlib.import_module("probes")
-    cfg = dataclasses.replace(tiny_config(), num_classes=3)
-    config, data, pre = (str(tmp_path / name) for name in ("cfg.txt", "d.v2ds", "pre.v2ap"))
-    Path(config).write_text(config_to_text(cfg, RunConfig(batch_size=8, steps=2)))
-    assert cli.main(["gen-data", "--preset", "easy-3", "--out", data]) == 0
-    assert cli.main(["pretrain", "--config", config, "--data", data, "--out", pre]) == 0
-    tracer = probes.Tracer("hooks", "trainer.step")
-    try:
-        tracer.install_base()
-        tracer.install_detail()
-        assert tracer.call(["tune", "--config", config, "--backbone-ckpt", pre, "--data", data,
-                            "--method", method, "--out", str(tmp_path / "t.v2ap")]) == 0
-    finally:
-        tracer.uninstall()
+    _probes, _cfg, tracer = _traced_tune(monkeypatch, tmp_path, method)
     per_span = Counter()
     for (_group, span), n in tracer.records.items():
         per_span[span] += n
