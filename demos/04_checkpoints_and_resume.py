@@ -31,9 +31,8 @@ run = RunConfig(seed=0, batch_size=16, steps=40)
 ds = generate(preset("easy-3"), seed=0)
 
 def fresh_trainer():
-    model = PromptedClassifier.init(cfg, SeededStreams(run.seed))
-    model.install_adapters(SeededStreams(run.seed))
-    model.freeze()
+    streams = SeededStreams(run.seed)
+    model = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
     return Trainer(model, run, ds)
 
 a, b = fresh_trainer(), fresh_trainer()

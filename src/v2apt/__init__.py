@@ -10,14 +10,14 @@ reproducible under fixed seeds.
 Typical flow:
 
     from v2apt import (PromptedClassifier, RunConfig, SeededStreams, Trainer,
-                       default_config, generate, preset, split)
+                       default_config, generate, preset)
 
     ds = generate(preset("shift-A"), seed=0)
-    model = PromptedClassifier.init(default_config(), SeededStreams(0))
-    Trainer(model, RunConfig(), ds).train()          # pretrain the backbone
-    ...
-    model.install_adapters(SeededStreams(0))          # prompts (+ generator)
-    model.freeze()                                    # lock the backbone
+    pre = PromptedClassifier.init(default_config(), SeededStreams(0))
+    Trainer(pre, RunConfig(), ds).train()            # pretrain the backbone
+    # to tune: a frozen copy of the backbone, the head, prompts (+ generator)
+    model = PromptedClassifier.from_pretrained(pre, default_config(), SeededStreams(0))
+    Trainer(model, RunConfig(), generate(preset("shift-B"), seed=0)).train()
 
 The same steps are scriptable through the `v2apt` command-line tool.
 """

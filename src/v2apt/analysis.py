@@ -89,8 +89,7 @@ def model_similarity_map(
     layer = model.cfg.depth - 1 if layer is None else layer
     if not 0 <= layer < model.cfg.depth:
         raise ValidationError(f"layer {layer} out of range [0, {model.cfg.depth})")
-    out = model.forward(images[index:index + 1], capture_layers=(layer,))
-    prompts_in, patches_out = out.captures[layer]
+    prompts_in, patches_out = model.probe_layers(images[index:index + 1], (layer,))[layer]
     sim = cosine_similarity_map(prompts_in[0], patches_out[0])
     sim.layer = layer
     return sim

@@ -9,10 +9,10 @@ load parses once, refusing text that is not canonical; a load refuses name
 sections that are not strictly ascending too, so save -> load -> save
 reproduces an accepted file byte for byte. A save writes the optimizer
 settings from the run config and the one RNG cursor, `eps`, from the step; a
-load checks both. Save and load apply one check, `_check`, so a save writes
-exactly the files a load accepts. Its tensor part is the model's own rule,
-`model.param_fault`, which `restore_model` runs once, in the model's
-constructor. Each array is checked finite where it meets the bytes.
+load checks both. Save, load and `restore_model` apply one check, `_check`,
+so a save writes exactly the files a load accepts and a restore builds a
+model from no other. Its tensor part is the model's own rule,
+`model.param_fault`. Each array is checked finite where it meets the bytes.
 """
 
 from __future__ import annotations
@@ -81,15 +81,12 @@ def _refuse(*problems: tuple[str, set[str]]) -> None:
 
 
 def _check(ck: Checkpoint) -> None:
-    """A FormatError naming the first fault of an invalid checkpoint."""
+    """A FormatError naming the first fault of an invalid checkpoint: tensors
+    that are not a model of its config, a freeze mask of tensors it lacks, or
+    moments other than one pair per unfrozen tensor, each with that tensor's
+    shape and dtype."""
     if (fault := param_fault(ck.cfg, ck.tensors)) is not None:
         raise FormatError(f"checkpoint {fault}")
-    _check_state(ck)
-
-
-def _check_state(ck: Checkpoint) -> None:
-    """Beyond a model: a freeze mask of held tensors, and moments for exactly
-    the unfrozen tensors, each with its tensor's shape and dtype."""
     names = ck.tensors.keys()
     _refuse(("freezes unknown tensor", ck.frozen - names))
     if ck.optimizer is not None:
@@ -298,14 +295,9 @@ def snapshot(
 
 
 def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
-    # `_check`, with the model rule run once: by the constructor
+    _check(ck)
     params = {n: Tensor(a, requires_grad=n not in ck.frozen) for n, a in ck.tensors.items()}
-    try:
-        model = PromptedClassifier(ck.cfg, params)
-    except ConfigError:
-        raise FormatError(f"checkpoint {param_fault(ck.cfg, ck.tensors)}") from None
-    _check_state(ck)
-    return model, ck.run
+    return PromptedClassifier(ck.cfg, params), ck.run
 
 
 def restore_optimizer(ck: Checkpoint) -> AdamW | None:

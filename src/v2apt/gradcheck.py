@@ -145,9 +145,7 @@ def full_model_check(cfg=None, seed: int = 0, tol: float = 1e-4) -> CheckReport:
         cfg = tiny_config()
     with float64_mode():
         streams = SeededStreams(seed)
-        model = PromptedClassifier.init(cfg, streams)
-        model.install_adapters(streams)
-        model.freeze()
+        model = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
         g = streams.generator("gradcheck")
         batch = 2
         images = g.random((batch, cfg.image_size, cfg.image_size, cfg.in_channels))

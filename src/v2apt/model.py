@@ -10,7 +10,8 @@ One class covers every training flavor by which parameter groups exist:
 With `prompt_inst = 0` the generator is never built, so that configuration is
 the baseline itself, not an emulation of it: same parameters, same tape, same
 random draws. Which groups a model of a config holds, and in what shapes, is
-stated once, by `param_fault`; the constructor refuses any other parameters.
+stated once, by `param_fault`; the constructor refuses any other parameters,
+and nothing adds or drops one after it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import glob
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import backbone as B
 from . import prompts as P
 from . import vae as V
 from .config import ModelConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, ValidationError
 from .rng import SeededStreams
 from .tensor import Tensor, active_tape, concat, expand_leading, slice_axis
 
@@ -68,16 +69,22 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 class ForwardResult:
     logits: Tensor  # (B, C)
     kl: Tensor | None  # scalar, present only when the generator ran
-    latent: V.LatentDistribution | None
-    # layer -> (composed prompt inputs (B, k, d), output patch tokens (B, P, d))
-    captures: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+
+def adapter_params(cfg: ModelConfig, streams: SeededStreams) -> Params:
+    """Fresh adapter groups of `cfg`: domain prompts when k_dom > 0, the
+    latent generator when k_inst > 0, each drawn from its own named stream."""
+    params = P.init_domain_prompts(cfg, streams) if cfg.prompt_dom else {}
+    if cfg.prompt_inst:
+        params.update(V.init_vae(cfg, streams))
+    return params
 
 
 def param_fault(cfg: ModelConfig, params: Mapping[str, Tensor | np.ndarray]) -> str | None:
     """The first way `params` is not a model of `cfg`, or None: the one rule,
     which the constructor and every checkpoint apply. A model holds the
-    backbone and head, plus no adapters or exactly the groups `install_adapters`
-    installs, each tensor in the shape the config implies."""
+    backbone and head, plus no adapters or exactly the groups `adapter_params`
+    draws, each tensor in the shape the config implies."""
     adapters = P.param_shapes(cfg) if cfg.prompt_dom else {}
     if cfg.prompt_inst:
         adapters.update(V.param_shapes(cfg))
@@ -108,14 +115,15 @@ class PromptedClassifier:
 
     @classmethod
     def init(cls, cfg: ModelConfig, streams: SeededStreams) -> "PromptedClassifier":
-        """Backbone and head only; adapters are installed separately."""
+        """Backbone and head only: a model to pretrain."""
         return cls(cfg, B.init_backbone(cfg, streams))
 
     @classmethod
     def from_pretrained(
         cls, pre: "PromptedClassifier", cfg: ModelConfig, streams: SeededStreams
     ) -> "PromptedClassifier":
-        """Transfer setup: keep backbone and head weights, re-init adapters.
+        """Transfer setup: copies of the backbone, frozen, and of the head,
+        plus fresh adapters.
 
         Any adapters the source model carried are dropped; the new ones are
         drawn from `streams` so two transfers with the same seed match.
@@ -128,22 +136,11 @@ class PromptedClassifier:
                     f"pretrained backbone disagrees on {name}: checkpoint has {have}, config wants {want}"
                 )
         params = {
-            n: Tensor(p.data.copy(), requires_grad=True)
+            n: Tensor(p.data.copy(), requires_grad=n.startswith("head."))
             for n, p in pre.params.items()
             if n.startswith("backbone.") or n.startswith("head.")
         }
-        model = cls(cfg, params)
-        model.install_adapters(streams)
-        model.freeze()
-        return model
-
-    def install_adapters(self, streams: SeededStreams) -> None:
-        """Add the adapter groups the config calls for, unless the model holds them."""
-        cfg, bare = self.cfg, self.active_budget == 0
-        if bare and cfg.prompt_dom:
-            self.params.update(P.init_domain_prompts(cfg, streams))
-        if bare and cfg.prompt_inst:
-            self.params.update(V.init_vae(cfg, streams))
+        return cls(cfg, {**params, **adapter_params(cfg, streams)})
 
     def freeze(self) -> frozenset[str]:
         return B.freeze_backbone(self.params)
@@ -182,35 +179,32 @@ class PromptedClassifier:
             return embeddings, None
         return embeddings, V.encode(V.pool_input_embeddings(embeddings), self.params, self.cfg)
 
-    def _composed_prompts(
-        self, dist: V.LatentDistribution | None, batch: int, rng: np.random.Generator | None
-    ) -> tuple[list[list[Tensor]], Tensor | None]:
-        cfg = self.cfg
+    def _prelude(
+        self, images: np.ndarray, rng: np.random.Generator | None
+    ) -> tuple[Tensor, list[list[Tensor]], Tensor | None]:
+        """The [CLS | patches] rows every layer carries, each layer's prompt
+        blocks, and the KL (None without a generator)."""
+        cfg, batch = self.cfg, images.shape[0]
+        embeddings, dist = self.posterior(images)
         inst = dom = kl = None
         if dist is not None:
             inst = V.decode(V.reparameterize(dist, rng), self.params, cfg)
             # after the decoder, so that the tape keeps the order its gradients sum in
             kl = V.kl_divergence(dist)
         if self.has_prompts:
-            dom = [
-                expand_leading(self.params[f"prompts.{i}"], batch) for i in range(cfg.depth)
-            ]
-        return V.compose_prompts(inst, dom) or [[] for _ in range(cfg.depth)], kl
+            dom = [expand_leading(self.params[f"prompts.{i}"], batch) for i in range(cfg.depth)]
+        composed = V.compose_prompts(inst, dom) or [[] for _ in range(cfg.depth)]
+        x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
+        return x, composed, kl
 
-    def forward(
-        self,
-        images: np.ndarray,
-        rng: np.random.Generator | None = None,
-        capture_layers: Sequence[int] = (),
-    ) -> ForwardResult:
+    def forward(self, images: np.ndarray, rng: np.random.Generator | None = None) -> ForwardResult:
         """Run the model on a pixel batch.
 
         With `rng` the latent is sampled from it (training); without one it is
         the posterior mean (evaluation). Nothing else differs: there is no
-        dropout. With `capture_layers`, the composed prompt inputs and output
-        patch tokens of those layers are returned as plain arrays for analysis.
+        dropout.
 
-        With no tape open and no layer captured, where OpenBLAS may run more
+        With no tape open in the calling thread, where OpenBLAS may run more
         than one thread, a batch of at least 2 * SPLIT_IMAGES images runs its
         encoder layers on two row ranges at once, one on a worker thread that
         ends before the forward returns, with OpenBLAS at one thread for the
@@ -219,35 +213,25 @@ class PromptedClassifier:
         if images.ndim != 4:
             raise ShapeError(f"expected (B, H, W, C) pixels, got {images.shape}")
         split = images.shape[0] // (2 * SPLIT_IMAGES) * SPLIT_IMAGES
-        blas = _blas_threads() if split and not capture_layers and active_tape() is None else None
+        blas = _blas_threads() if split and active_tape() is None else None
         threads = blas[0]() if blas else 1
         if threads < 2:  # on one core the two ranges would only take turns
-            return self._forward(images, rng, capture_layers, 0)
+            return self._forward(images, rng, 0)
         set_threads = blas[1]
         set_threads(1)  # a second BLAS thread would spin on the worker's core
         try:
-            return self._forward(images, rng, (), split)
+            return self._forward(images, rng, split)
         finally:
             set_threads(threads)
 
-    def _forward(
-        self, images: np.ndarray, rng: np.random.Generator | None,
-        capture_layers: Sequence[int], split: int,
-    ) -> ForwardResult:
-        cfg, batch = self.cfg, images.shape[0]
-        embeddings, dist = self.posterior(images)
-        composed, kl = self._composed_prompts(dist, batch, rng)
-        x = P.merge_sequence(expand_leading(self.params["backbone.cls"], batch), embeddings)
-
-        captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the head reads only CLS: the last layer runs its queries and MLP on
-        # that row alone, unless its patch tokens are captured
-        cls_only = cfg.depth - 1 not in capture_layers
+    def _forward(self, images: np.ndarray, rng: np.random.Generator | None, split: int) -> ForwardResult:
+        batch = images.shape[0]
+        x, composed, kl = self._prelude(images, rng)
         if split:
             # the rows of different images never meet in the encoder layers
             def layers(lo: int, hi: int) -> Tensor:
                 blocks = [[slice_axis(p, 0, lo, hi) for p in ps] for ps in composed]
-                return self._encoder(slice_axis(x, 0, lo, hi), blocks, cls_only, (), captures)
+                return self._encoder(slice_axis(x, 0, lo, hi), blocks)
 
             # a worker per forward, joined before it returns: a child forked
             # later inherits no executor whose thread it lacks
@@ -256,29 +240,38 @@ class PromptedClassifier:
                 head = layers(0, split)
             x = concat([head, tail.result()], axis=0)
         else:
-            x = self._encoder(x, composed, cls_only, capture_layers, captures)
+            x = self._encoder(x, composed)
+        cls_out = B.final_norm(x, self.params).reshape(batch, self.cfg.dim)
+        return ForwardResult(logits=B.classify(cls_out, self.params), kl=kl)
 
-        if not cls_only:
-            x = slice_axis(x, -2, 0, 1)
-        cls_out = B.final_norm(x, self.params).reshape(batch, cfg.dim)
-        logits = B.classify(cls_out, self.params)
-        return ForwardResult(logits=logits, kl=kl, latent=dist, captures=captures)
-
-    def _encoder(
-        self, x: Tensor, composed: list[list[Tensor]], cls_only: bool,
-        capture_layers: Sequence[int], captures: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> Tensor:
+    def _encoder(self, x: Tensor, composed: list[list[Tensor]]) -> Tensor:
         cfg = self.cfg
         for i in range(cfg.depth):
             # CLS and patches carry all cross-layer state; each layer's fresh
-            # prompt blocks join its keys and values only
-            rows = 1 if cls_only and i == cfg.depth - 1 else None
+            # prompt blocks join its keys and values only. The head reads only
+            # CLS: the last layer runs its queries and MLP on that row alone.
+            rows = 1 if i == cfg.depth - 1 else None
             x = B.encoder_layer_forward(i, x, self.params, cfg, rows=rows, prompts=composed[i])
-            if i in capture_layers:
-                blocks = [p.data for p in composed[i]] or [np.zeros((x.shape[0], 0, cfg.dim))]
-                prompt_in = np.concatenate(blocks, axis=-2)
-                captures[i] = (prompt_in, x.data[:, 1:].copy())
         return x
+
+    def probe_layers(
+        self, images: np.ndarray, layers: Sequence[int]
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Eval mode, for analysis: layer -> (its composed prompt inputs
+        (B, k, d), its output patch tokens (B, P, d)) as plain arrays, for
+        each of `layers`. Runs the layers up to the deepest one listed, each
+        on every carried row."""
+        cfg = self.cfg
+        if not all(0 <= i < cfg.depth for i in layers):
+            raise ValidationError(f"layers {list(layers)} out of range [0, {cfg.depth})")
+        x, composed, _ = self._prelude(images, None)
+        probes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for i in range(max(layers, default=-1) + 1):
+            x = B.encoder_layer_forward(i, x, self.params, cfg, prompts=composed[i])
+            if i in layers:
+                blocks = [p.data for p in composed[i]] or [np.zeros((x.shape[0], 0, cfg.dim))]
+                probes[i] = (np.concatenate(blocks, axis=-2), x.data[:, 1:].copy())
+        return probes
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Eval-mode class predictions; ties resolve to the lowest index."""

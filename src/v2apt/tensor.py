@@ -19,12 +19,14 @@ gradient slot without the value) and the arrays its adjoint reads, nothing
 else, so an intermediate's value is freed as soon as the forward code drops
 it unless an adjoint reads it. A primitive builds nodes and its adjoint only
 when a tape records it. Custom primitives keep the same rule (see
-`record_operation`).
+`record_operation`). Tapes are per thread: a primitive records on the
+innermost tape its own thread holds open.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -204,18 +206,25 @@ class TapeRecord(NamedTuple):
     output: Node
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):  # each thread's open tapes, innermost last
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPES = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
-    """The innermost open tape, or None when no primitive is being recorded."""
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The calling thread's innermost open tape, or None when it records no
+    primitive."""
+    tapes = _TAPES.tapes
+    return tapes[-1] if tapes else None
 
 
 def _taped(out: Tensor) -> bool:
     """Whether the active tape records the op that made `out`; only then does
     a primitive make nodes and an adjoint."""
-    return out._requires_grad and bool(_TAPE_STACK)
+    return out._requires_grad and bool(_TAPES.tapes)
 
 
 class Tape:
@@ -232,11 +241,11 @@ class Tape:
         self._ran = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPES.tapes.pop()
         if popped is not self:
             raise ContractError("tape stack corrupted: exited a tape that is not innermost")
         return False

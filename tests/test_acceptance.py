@@ -50,10 +50,8 @@ def verdict(n: int, ok: bool, detail: str) -> None:
 
 
 def fresh_tuning_model(cfg, seed: int) -> PromptedClassifier:
-    model = PromptedClassifier.init(cfg, SeededStreams(seed))
-    model.install_adapters(SeededStreams(seed))
-    model.freeze()
-    return model
+    streams = SeededStreams(seed)
+    return PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
 
 
 @pytest.fixture(scope="session")
@@ -142,9 +140,9 @@ def test_criterion_04_token_parity():
     layer_lengths = {}
     for inst in range(cfg.prompt_len + 1):  # every split of the budget k
         model = fresh_tuning_model(dataclasses.replace(cfg, prompt_inst=inst), seed=0)
-        out = model.forward(images, capture_layers=tuple(range(cfg.depth)))
+        probes = model.probe_layers(images, range(cfg.depth))
         layer_lengths[inst] = [
-            1 + out.captures[l][0].shape[1] + out.captures[l][1].shape[1]
+            1 + probes[l][0].shape[1] + probes[l][1].shape[1]
             for l in range(cfg.depth)
         ]
     baseline = layer_lengths[0]  # the static-prompt model with the full budget

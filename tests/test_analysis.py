@@ -9,16 +9,16 @@ from v2apt import analysis as A
 from v2apt import data as D
 from v2apt.config import ModelConfig, tiny_config
 from v2apt.errors import ShapeError, ValidationError
-from v2apt.model import PromptedClassifier
+from v2apt.backbone import init_backbone
+from v2apt.model import PromptedClassifier, adapter_params
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tensor
 
 
 def built_model(cfg=None, seed=0):
-    streams = SeededStreams(seed)
-    m = PromptedClassifier.init(cfg or tiny_config(), streams)
-    m.install_adapters(streams)
-    return m
+    """A model whose backbone trains too, with the config's adapters."""
+    cfg, streams = cfg or tiny_config(), SeededStreams(seed)
+    return PromptedClassifier(cfg, {**init_backbone(cfg, streams), **adapter_params(cfg, streams)})
 
 
 def test_identical_row_gives_one_orthogonal_gives_zero():
@@ -203,9 +203,7 @@ def test_kl_penalty_lowers_trained_posterior_kl():
     kl_by_beta = {}
     for beta in (0.0, 1e-3):
         streams = SeededStreams(0)
-        m = PromptedClassifier.init(cfg, streams)
-        m.install_adapters(streams)
-        m.freeze()
+        m = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
         run = RunConfig(seed=0, batch_size=64, steps=300, kl_beta=beta)
         Trainer(m, run, ds).train()
         kl_by_beta[beta] = A.latent_stats(m, ds).mean_kl

@@ -17,7 +17,7 @@ from v2apt import trainer as TR
 from v2apt.cli import main
 from v2apt.config import RunConfig, config_from_text, config_to_text, tiny_config
 from v2apt.errors import ConfigError, FormatError
-from v2apt.model import PromptedClassifier
+from v2apt.model import PromptedClassifier, param_fault
 from v2apt.rng import SeededStreams
 from v2apt.tensor import Tensor, float64_mode
 
@@ -234,10 +234,8 @@ def test_truncation_names_what_was_being_read(tmp_path):
 
 def tuned(seed=0):
     streams = SeededStreams(seed)
-    m = PromptedClassifier.init(tiny_config(), streams)
-    m.install_adapters(streams)
-    m.freeze()
-    return m
+    return PromptedClassifier.from_pretrained(PromptedClassifier.init(tiny_config(), streams),
+                                              tiny_config(), streams)
 
 
 def run_cfg(**kw) -> RunConfig:
@@ -282,6 +280,31 @@ def test_hand_frozen_parameters_stay_frozen_through_a_checkpoint(tmp_path):
     assert back.frozen == made.frozen
     assert not any(back.params[n].requires_grad for n in back.params if n.startswith("backbone."))
     assert back.frozen_digest() == made.frozen_digest()
+
+
+def _param_set(model):
+    return {n: (p.shape, p.dtype, p.requires_grad) for n, p in model.params.items()}
+
+
+@pytest.mark.parametrize("built_by", ["init", "from_pretrained", "restore_model"])
+def test_training_and_a_save_restore_keep_a_models_parameter_set(tmp_path, built_by):
+    # the set is fixed where the model is built: AdamW.step replaces values,
+    # and nothing after the constructor adds or drops a parameter
+    cfg, run = tiny_config(), run_cfg(steps=3)
+    pre = PromptedClassifier.init(cfg, SeededStreams(0))
+    model = pre if built_by == "init" else PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(1))
+    if built_by == "restore_model":
+        C.save_checkpoint(C.snapshot(model, run), tmp_path / "built.v2ap")
+        model, _ = C.restore_model(C.load_checkpoint(tmp_path / "built.v2ap"))
+    want = _param_set(model)
+    assert any(requires_grad for *_, requires_grad in want.values())
+    trainer = TR.Trainer(model, run, dataset())
+    trainer.train()
+    assert _param_set(model) == want and param_fault(cfg, model.params) is None
+    p = tmp_path / "trained.v2ap"
+    C.save_checkpoint(C.snapshot(model, run, trainer.optimizer, trainer.step), p)
+    back, _ = C.restore_model(C.load_checkpoint(p))
+    assert _param_set(back) == want and param_fault(cfg, back.params) is None
 
 
 def test_interrupted_training_matches_uninterrupted(tmp_path):

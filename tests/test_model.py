@@ -24,12 +24,12 @@ from v2apt.tensor import Tape, Tensor
 
 
 def build(cfg=None, seed=0, adapters=True):
+    """A model whose backbone trains too, with the config's adapters or none."""
     cfg = cfg or tiny_config()
     streams = SeededStreams(seed)
-    m = PromptedClassifier.init(cfg, streams)
-    if adapters:
-        m.install_adapters(streams)
-    return m
+    if not adapters:
+        return PromptedClassifier.init(cfg, streams)
+    return PromptedClassifier(cfg, {**B.init_backbone(cfg, streams), **M.adapter_params(cfg, streams)})
 
 
 def images(n=2, seed=0):
@@ -53,7 +53,7 @@ def test_forward_shapes_and_kl():
     assert out.logits.shape == (3, m.cfg.num_classes)
     assert out.kl is not None and out.kl.size == 1
     assert out.kl.item() >= 0.0
-    assert out.latent.mu.shape == (3, m.cfg.latent_dim)
+    assert m.posterior(images(3))[1].mu.shape == (3, m.cfg.latent_dim)
 
 
 def test_eval_forward_is_deterministic():
@@ -76,36 +76,11 @@ def test_train_forward_depends_on_eps_cursor():
 
 def test_captures_have_expected_shapes():
     m = build()
-    out = m.forward(images(2), capture_layers=(0, 1))
-    assert set(out.captures) == {0, 1}
-    for prompts_in, patches_out in out.captures.values():
+    probes = m.probe_layers(images(2), (0, 1))
+    assert set(probes) == {0, 1}
+    for prompts_in, patches_out in probes.values():
         assert prompts_in.shape == (2, 4, 16)
         assert patches_out.shape == (2, 16, 16)
-
-
-def _logits_and_grads(capture_last):
-    m = build()
-    x = images(4, seed=3)
-    capture = (m.cfg.depth - 1,) if capture_last else ()
-    with Tape() as tape:
-        out = m.forward(x, rng=SeededStreams(0).generator("eps"), capture_layers=capture)
-        loss = T.cross_entropy_with_logits(out.logits, np.array([0, 1, 2, 0])) + out.kl * 1e-3
-        tape.backward(loss)
-    return out.logits.data, {n: p.grad for n, p in m.trainables().items()}
-
-
-@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
-def test_cls_only_last_layer_matches_the_full_last_layer(float64, tol):
-    # capturing the last layer makes it run on every token: the reference
-    with T.float64_mode() if float64 else contextlib.nullcontext():
-        logits1, grads1 = _logits_and_grads(capture_last=False)
-        logits0, grads0 = _logits_and_grads(capture_last=True)
-    assert logits1.dtype == (np.float64 if float64 else np.float32)
-    np.testing.assert_allclose(logits1, logits0, rtol=0, atol=tol)
-    assert grads1.keys() == grads0.keys()
-    assert "backbone.layers.1.mlp.w1" in grads1
-    for name in grads1:
-        np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
 
 
 def _old_path_forward(m, x, rng):
@@ -113,10 +88,9 @@ def _old_path_forward(m, x, rng):
     patches] through full-row layers, the prompt outputs stripped and fresh
     prompts spliced in at every layer boundary."""
     cfg, batch, k = m.cfg, x.shape[0], m.active_budget
-    embeddings, dist = m.posterior(x)
-    composed, kl = m._composed_prompts(dist, batch, rng)
-    cls = T.expand_leading(m.params["backbone.cls"], batch)
-    seq = T.concat([cls, *composed[0], embeddings], axis=-2)
+    rows, composed, kl = m._prelude(x, rng)  # [CLS | patches], prompt blocks, KL
+    seq = T.concat([T.slice_axis(rows, -2, 0, 1), *composed[0],
+                    T.slice_axis(rows, -2, 1, rows.shape[-2])], axis=-2)
     for i in range(cfg.depth):
         if i > 0 and k:
             stripped = T.concat(
@@ -131,7 +105,7 @@ def _old_path_forward(m, x, rng):
     return B.classify(cls_out, m.params), kl
 
 
-def _old_and_new_logits_and_grads(cfg, capture_last):
+def _old_and_new_logits_and_grads(cfg):
     labels = np.array([0, 1, 2, 3])
     x = images(4, seed=3)
     results = []
@@ -142,8 +116,7 @@ def _old_and_new_logits_and_grads(cfg, capture_last):
             if old:
                 logits, kl = _old_path_forward(m, x, rng)
             else:
-                capture = (cfg.depth - 1,) if capture_last else ()
-                out = m.forward(x, rng=rng, capture_layers=capture)
+                out = m.forward(x, rng=rng)
                 logits, kl = out.logits, out.kl
             loss = T.cross_entropy_with_logits(logits, labels)
             tape.backward(loss if kl is None else loss + kl * 1e-3)
@@ -151,16 +124,13 @@ def _old_and_new_logits_and_grads(cfg, capture_last):
     return results
 
 
-@pytest.mark.parametrize("capture_last", [False, True])
 @pytest.mark.parametrize("prompt_len, prompt_inst", [(8, 0), (8, 4), (8, 8), (0, 0)])
 @pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
-def test_key_value_prompts_match_the_strip_and_splice_path(
-    float64, tol, prompt_len, prompt_inst, capture_last
-):
+def test_key_value_prompts_match_the_strip_and_splice_path(float64, tol, prompt_len, prompt_inst):
     cfg = ModelConfig(**{**default_config().__dict__,
                          "prompt_len": prompt_len, "prompt_inst": prompt_inst})
     with T.float64_mode() if float64 else contextlib.nullcontext():
-        (logits0, grads0), (logits1, grads1) = _old_and_new_logits_and_grads(cfg, capture_last)
+        (logits0, grads0), (logits1, grads1) = _old_and_new_logits_and_grads(cfg)
     assert logits1.dtype == (np.float64 if float64 else np.float32)
     np.testing.assert_allclose(logits1, logits0, rtol=0, atol=tol)
     assert grads1.keys() == grads0.keys()
@@ -171,7 +141,7 @@ def test_key_value_prompts_match_the_strip_and_splice_path(
         np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
 
 
-def _parent_composition_forward(m, x, rng, capture_layers):
+def _parent_composition_forward(m, x, rng, probed):
     """The forward as it composed prompts before the layers took prompt blocks:
     each instance block cut from the decoder output by a slice and a reshape,
     one [instance | domain] concat per layer, then the layer's context concat."""
@@ -195,28 +165,28 @@ def _parent_composition_forward(m, x, rng, capture_layers):
     else:
         composed = inst or dom
     x = P.merge_sequence(T.expand_leading(params["backbone.cls"], batch), embeddings)
-    cls_only = cfg.depth - 1 not in capture_layers
-    captures = {}
+    cls_only = cfg.depth - 1 not in probed
+    probes = {}
     for i in range(cfg.depth):
         prompts = composed[i] if composed else None
         rows = 1 if cls_only and i == cfg.depth - 1 else None
         # the layer's context concat [tokens | prompts], one composed block
         blocks = [prompts] if composed else []
         x = B.encoder_layer_forward(i, x, params, cfg, rows=rows, prompts=blocks)
-        if i in capture_layers:
+        if i in probed:
             prompt_in = prompts.data.copy() if composed else np.zeros((batch, 0, cfg.dim))
-            captures[i] = (prompt_in, x.data[:, 1:].copy())
+            probes[i] = (prompt_in, x.data[:, 1:].copy())
     if not cls_only:
         x = T.slice_axis(x, -2, 0, 1)
     logits = B.classify(B.final_norm(x, params).reshape(batch, cfg.dim), params)
-    return logits, kl, captures
+    return logits, kl, probes
 
 
-@pytest.mark.parametrize("capture_layers", [(), (0, 3)])
+@pytest.mark.parametrize("probed", [(), (0, 3)])
 @pytest.mark.parametrize("prompt_len, prompt_inst", [(8, 0), (8, 2), (8, 4), (8, 8), (0, 0)])
 @pytest.mark.parametrize("float64", [True, False])
 def test_prompt_blocks_match_the_parent_composition_bit_for_bit(
-    float64, prompt_len, prompt_inst, capture_layers
+    float64, prompt_len, prompt_inst, probed
 ):
     cfg = ModelConfig(**{**default_config().__dict__,
                          "prompt_len": prompt_len, "prompt_inst": prompt_inst})
@@ -230,15 +200,20 @@ def test_prompt_blocks_match_the_parent_composition_bit_for_bit(
             rng = SeededStreams(0).generator("eps")
             with Tape() as tape:
                 if parent:
-                    logits, kl, captures = _parent_composition_forward(m, x, rng, capture_layers)
+                    logits, kl, _ = _parent_composition_forward(m, x, rng, ())
                 else:
-                    out = m.forward(x, rng=rng, capture_layers=capture_layers)
-                    logits, kl, captures = out.logits, out.kl, out.captures
+                    out = m.forward(x, rng=rng)
+                    logits, kl = out.logits, out.kl
                 loss = T.cross_entropy_with_logits(logits, labels)
                 tape.backward(loss if kl is None else loss + kl * 1e-3)
+            # the probes of an eval-mode forward that ran the listed layers on every row
+            if parent:
+                probes = _parent_composition_forward(m, x, None, probed)[2]
+            else:
+                probes = m.probe_layers(x, probed)
             grads = {n: p.grad for n, p in m.trainables().items()}
-            results.append((logits.data, None if kl is None else kl.data, grads, captures))
-    (logits0, kl0, grads0, cap0), (logits1, kl1, grads1, cap1) = results
+            results.append((logits.data, None if kl is None else kl.data, grads, probes))
+    (logits0, kl0, grads0, probes0), (logits1, kl1, grads1, probes1) = results
     assert logits1.dtype == (np.float64 if float64 else np.float32)
     assert np.array_equal(logits1, logits0)
     assert (kl1 is None) == (kl0 is None) == (prompt_inst == 0)
@@ -246,9 +221,9 @@ def test_prompt_blocks_match_the_parent_composition_bit_for_bit(
     assert grads1.keys() == grads0.keys() and "head.w" in grads1
     for name in grads1:
         assert np.array_equal(grads1[name], grads0[name]), name
-    assert cap1.keys() == cap0.keys() == set(capture_layers)
-    for i in cap1:
-        for a, b in zip(cap1[i], cap0[i]):
+    assert probes1.keys() == probes0.keys() == set(probed)
+    for i in probes1:
+        for a, b in zip(probes1[i], probes0[i]):
             assert a.dtype == b.dtype and np.array_equal(a, b), i
 
 
@@ -278,9 +253,9 @@ def test_default_tune_step_records():
 def test_capturing_the_last_layer_returns_every_patch_token():
     m = build()
     last = m.cfg.depth - 1
-    out = m.forward(images(2), capture_layers=(last,))
-    assert set(out.captures) == {last}
-    assert out.captures[last][1].shape == (2, m.cfg.num_patches, m.cfg.dim)
+    probes = m.probe_layers(images(2), (last,))
+    assert set(probes) == {last}
+    assert probes[last][1].shape == (2, m.cfg.num_patches, m.cfg.dim)
 
 
 def test_every_adapter_gradient_is_nonzero_after_one_backward():
@@ -306,7 +281,7 @@ def test_vpt_flavor_has_no_generator_and_full_width_prompts():
     rng, twin = SeededStreams(0).generator("eps"), SeededStreams(0).generator("eps")
     out = m.forward(images(2), rng=rng)
     assert rng.random() == twin.random()  # nothing drew from rng: nothing samples
-    assert out.kl is None and out.latent is None
+    assert out.kl is None and m.posterior(images(2))[1] is None
     assert m.active_budget == 4
 
 
@@ -391,17 +366,6 @@ def test_a_model_holds_every_adapter_group_or_none():
         PromptedClassifier(cfg, params)
 
 
-def test_install_adapters_idempotent():
-    cfg = tiny_config()
-    streams = SeededStreams(0)
-    m = PromptedClassifier.init(cfg, streams)
-    m.install_adapters(streams)
-    before = {n: p.data.tobytes() for n, p in m.params.items()}
-    m.install_adapters(streams)
-    after = {n: p.data.tobytes() for n, p in m.params.items()}
-    assert before == after
-
-
 # ---------------------------------------------------------------------------
 # the tape-free forward that runs its encoder layers on two row ranges at once
 
@@ -478,12 +442,11 @@ def test_a_forward_splits_only_tape_free_batches_of_at_least_128_images(monkeypa
             # both ranges run tape-free, in the caller's dtype, at one BLAS thread
             want = (None, dtype, 1 if len(ranges) == 2 else 2)
             assert {tuple(call[2:]) for call in calls} == {want}
-        # a forward under a tape, or one that captures a layer, runs whole
-        for tape, capture in ((Tape(), ()), (contextlib.nullcontext(), (0,))):
-            calls = _spy_layers(monkeypatch)
-            with tape:
-                m.forward(images(128), capture_layers=capture)
-            assert [(rows, worker) for rows, worker, *_ in calls] == [(128, False)] * depth
+        # a forward under a tape runs whole
+        calls = _spy_layers(monkeypatch)
+        with Tape():
+            m.forward(images(128))
+        assert [(rows, worker) for rows, worker, *_ in calls] == [(128, False)] * depth
 
 
 def test_with_blas_at_one_thread_a_forward_runs_whole(monkeypatch, blas):
@@ -503,6 +466,42 @@ def test_without_the_blas_hook_a_forward_runs_whole(monkeypatch):
     calls = _spy_layers(monkeypatch)
     m.forward(images(256))
     assert [(rows, worker) for rows, worker, *_ in calls] == [(256, False)] * m.cfg.depth
+
+
+def _tune_step(m, x, labels, meanwhile=lambda: None):
+    """Records and trainable gradients of one taped step; `meanwhile` runs
+    while its tape is open."""
+    for p in m.params.values():
+        p.grad = None
+    with Tape() as tape:
+        out = m.forward(x, rng=SeededStreams(0).generator("eps"))
+        meanwhile()
+        loss, _ = total_loss(out.logits, labels, out.kl, 1e-3)
+        tape.backward(loss)
+    return len(tape), {n: p.grad for n, p in m.trainables().items()}
+
+
+def test_a_tune_step_records_nothing_of_a_predict_on_another_thread():
+    # tapes are per thread: a tape-free forward elsewhere adds no record to
+    # this thread's tape, and splits as if no tape were open
+    m = _default_model("v2apt")
+    x, labels, batch = images(64, seed=1), np.arange(64) % m.cfg.num_classes, images(256, seed=2)
+    want_preds = m.predict(batch)
+    want_records, want_grads = _tune_step(m, x, labels)
+    preds = []
+
+    def predict_on_another_thread():
+        thread = threading.Thread(target=lambda: preds.append(m.predict(batch)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    records, grads = _tune_step(m, x, labels, predict_on_another_thread)
+    assert records == want_records == 82
+    assert grads.keys() == want_grads.keys() and "prompts.0" in grads
+    for name in grads:
+        assert np.array_equal(grads[name], want_grads[name]), name
+    assert len(preds) == 1 and np.array_equal(preds[0], want_preds)
 
 
 def test_a_split_forward_restores_the_blas_threads_also_when_the_worker_raises(monkeypatch, blas):

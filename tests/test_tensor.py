@@ -1,6 +1,7 @@
 """Unit tests for the tape-based autodiff core."""
 
 import contextlib
+import threading
 import weakref
 
 import numpy as np
@@ -460,6 +461,45 @@ def test_a_second_backward_raises_and_the_records_stay_whole():
     assert (mul.op, total.op) == ("mul", "sum")
     assert mul.inputs[0] is x.node and mul.inputs[1] is x.node
     assert mul.output is sq.node and total.inputs[0] is sq.node and total.output is loss.node
+
+
+def test_two_threads_with_interleaved_tapes_each_record_only_their_own_ops():
+    # both tapes open at once, the first opened exits first
+    both_open, both_recorded = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+    first_closed = threading.Event()
+    found, failures = {}, []
+
+    def run(doublings: int) -> None:
+        try:
+            x = Tensor(np.array([1.0, 3.0]), requires_grad=True)
+            with Tape() as tape:
+                both_open.wait()
+                y = x
+                for _ in range(doublings):
+                    y = y * 2.0
+                both_recorded.wait()
+                if doublings == 2:
+                    assert first_closed.wait(30)
+                tape.backward(y.sum())
+            first_closed.set()
+            found[doublings] = ([r.op for r in tape.records], x.grad)
+        except Exception as e:  # surfaced by the main thread
+            failures.append(e)
+            both_open.abort()
+            both_recorded.abort()
+            first_closed.set()
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and not failures, failures
+    assert sorted(found) == [1, 2]
+    for doublings, (ops, grad) in found.items():
+        assert ops == ["mul"] * doublings + ["sum"]
+        np.testing.assert_array_equal(grad, [2.0 ** doublings] * 2)
+    assert T.active_tape() is None
 
 
 def _saved(tape: Tape, op: str) -> dict[str, np.ndarray]:

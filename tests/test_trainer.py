@@ -23,11 +23,8 @@ def tiny_dataset(classes=3, per_class=16, seed=0) -> D.Dataset:
 
 
 def tuned_model(cfg=None, seed=0) -> PromptedClassifier:
-    streams = SeededStreams(seed)
-    m = PromptedClassifier.init(cfg or tiny_config(), streams)
-    m.install_adapters(streams)
-    m.freeze()
-    return m
+    cfg, streams = cfg or tiny_config(), SeededStreams(seed)
+    return PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
 
 
 # ---------------------------------------------------------------------------
