@@ -16,7 +16,7 @@ from v2apt import prompts as P
 from v2apt import tensor as T
 from v2apt import vae as V
 from v2apt.config import ModelConfig, default_config, tiny_config
-from v2apt.errors import ConfigError
+from v2apt.errors import ConfigError, ValidationError
 from v2apt.model import PromptedClassifier
 from v2apt.rng import SeededStreams
 from v2apt.trainer import total_loss
@@ -81,6 +81,65 @@ def test_captures_have_expected_shapes():
     for prompts_in, patches_out in probes.values():
         assert prompts_in.shape == (2, 4, 16)
         assert patches_out.shape == (2, 16, 16)
+
+
+def _logits_and_grads(full_last):
+    m = build()
+    x = images(4, seed=3)
+    rng = SeededStreams(0).generator("eps")
+    with Tape() as tape:
+        if full_last:
+            # the reference: the last layer runs on every row, then CLS is cut
+            rows, composed, kl = m._prelude(x, rng)
+            for i in range(m.cfg.depth):
+                rows = B.encoder_layer_forward(i, rows, m.params, m.cfg, prompts=composed[i])
+            cls = B.final_norm(T.slice_axis(rows, -2, 0, 1), m.params).reshape(4, m.cfg.dim)
+            logits = B.classify(cls, m.params)
+        else:
+            out = m.forward(x, rng=rng)
+            logits, kl = out.logits, out.kl
+        loss = T.cross_entropy_with_logits(logits, np.array([0, 1, 2, 0])) + kl * 1e-3
+        tape.backward(loss)
+    return logits.data, {n: p.grad for n, p in m.trainables().items()}
+
+
+@pytest.mark.parametrize("float64, tol", [(True, 1e-12), (False, 1e-5)])
+def test_cls_only_last_layer_matches_the_full_last_layer(float64, tol):
+    with T.float64_mode() if float64 else contextlib.nullcontext():
+        logits1, grads1 = _logits_and_grads(full_last=False)
+        logits0, grads0 = _logits_and_grads(full_last=True)
+    assert logits1.dtype == (np.float64 if float64 else np.float32)
+    np.testing.assert_allclose(logits1, logits0, rtol=0, atol=tol)
+    assert grads1.keys() == grads0.keys()
+    assert "backbone.layers.1.mlp.w1" in grads1
+    for name in grads1:
+        np.testing.assert_allclose(grads1[name], grads0[name], rtol=0, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize("layers", [(), (0,), (2,), (0, 3)])
+def test_probe_layers_runs_each_layer_up_to_the_deepest_probed_on_every_row(monkeypatch, layers):
+    # a probe never splits and never records: 128 images run whole, tape-free
+    m = _default_model("v2apt")
+    calls = []
+
+    def spy(i, tokens, *args, rows=None, **kwargs):
+        calls.append((i, tokens.shape[0], rows, T.active_tape()))
+        return _LAYER(i, tokens, *args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(B, "encoder_layer_forward", spy)
+    probes = m.probe_layers(images(128), layers)
+    assert set(probes) == set(layers)
+    assert calls == [(i, 128, None, None) for i in range(max(layers, default=-1) + 1)]
+    for prompts_in, patches_out in probes.values():
+        assert prompts_in.shape == (128, m.active_budget, m.cfg.dim)
+        assert patches_out.shape == (128, m.cfg.num_patches, m.cfg.dim)
+
+
+@pytest.mark.parametrize("layer", [-1, 2])
+def test_probe_layers_refuses_a_layer_the_model_lacks(layer):
+    m = build()  # depth 2
+    with pytest.raises(ValidationError, match=re.escape(f"layers [0, {layer}] out of range [0, 2)")):
+        m.probe_layers(images(2), (0, layer))
 
 
 def _old_path_forward(m, x, rng):
@@ -364,6 +423,37 @@ def test_a_model_holds_every_adapter_group_or_none():
     assert params["prompts.0"].shape == (0, 16)
     with pytest.raises(ConfigError, match=re.escape("unexpected tensor(s) 'prompts.0', 'prompts.1'")):
         PromptedClassifier(cfg, params)
+
+
+_TRANSFER_CONFIGS = {
+    "tiny": tiny_config(),
+    "default": default_config(),
+    "vpt": ModelConfig(**{**default_config().__dict__, "prompt_inst": 0}),
+    "no_prompts": ModelConfig(**{**default_config().__dict__, "prompt_len": 0, "prompt_inst": 0}),
+    "inst_only": ModelConfig(**{**default_config().__dict__, "prompt_inst": 8}),
+}
+
+
+@pytest.mark.parametrize("name", list(_TRANSFER_CONFIGS))
+def test_from_pretrained_copies_the_backbone_and_head_and_adds_the_drawn_adapters(name):
+    cfg = _TRANSFER_CONFIGS[name]
+    pre = PromptedClassifier.init(cfg, SeededStreams(0))
+    m = PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(1))
+    adapters = M.adapter_params(cfg, SeededStreams(1))
+    assert set(m.params) == set(pre.params) | set(adapters)
+    assert not set(pre.params) & set(adapters)
+    # copies, frozen but for the head
+    for n, p in pre.params.items():
+        q = m.params[n]
+        assert q is not p and q.data.dtype == p.data.dtype and np.array_equal(q.data, p.data), n
+        assert q.requires_grad == n.startswith("head."), n
+    # the adapters, as `adapter_params` draws them from the same streams
+    for n, p in adapters.items():
+        q = m.params[n]
+        assert q.requires_grad and q.data.dtype == p.data.dtype and np.array_equal(q.data, p.data), n
+    assert M.param_fault(cfg, m.params) is None
+    assert m.active_budget == (cfg.prompt_len if adapters else 0)
+    assert set(m.trainables()) == {"head.w", "head.b"} | set(adapters)
 
 
 # ---------------------------------------------------------------------------
