@@ -87,8 +87,6 @@ def model_similarity_map(
     if not 0 <= index < images.shape[0]:
         raise ValidationError(f"image index {index} out of range [0, {images.shape[0]})")
     layer = model.cfg.depth - 1 if layer is None else layer
-    if not 0 <= layer < model.cfg.depth:
-        raise ValidationError(f"layer {layer} out of range [0, {model.cfg.depth})")
     prompts_in, patches_out = model.probe_layers(images[index:index + 1], (layer,))[layer]
     sim = cosine_similarity_map(prompts_in[0], patches_out[0])
     sim.layer = layer

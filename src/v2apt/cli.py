@@ -13,7 +13,6 @@ of the interface:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import math
@@ -23,7 +22,7 @@ import sys
 from .analysis import export_map, mean_similarity, model_similarity_map
 from .checkpoint import load_checkpoint, restore_model, snapshot, save_checkpoint
 from .config import ModelConfig, RunConfig, config_from_text, default_config
-from .data import PRESETS, generate, load_dataset, preset, save_dataset, split
+from .data import PRESETS, Dataset, generate, load_dataset, preset, save_dataset, split
 from .errors import ConfigError, FormatError, NumericError, ValidationError
 from .gradcheck import full_model_check
 from .model import PromptedClassifier
@@ -42,19 +41,22 @@ def _load_config(path: str | None) -> tuple[ModelConfig, RunConfig]:
     return config_from_text(text)
 
 
-def _apply_overrides(run: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """`run` with each run flag given on the command line; an invalid value
-    fails here, before any file is read."""
+def _run_configs(args: argparse.Namespace) -> tuple[ModelConfig, RunConfig]:
+    """The configs of `--config` with each run flag given on the command line;
+    an invalid value fails here, before any other file is read."""
+    cfg, run = _load_config(args.config)
     flags = ("steps", "seed", "batch_size", "train_frac")
-    return dataclasses.replace(run, **{k: getattr(args, k) for k in flags
-                                       if getattr(args, k, None) is not None})
+    return cfg, dataclasses.replace(run, **{k: getattr(args, k) for k in flags
+                                            if getattr(args, k, None) is not None})
 
 
-def _check_classes(cfg: ModelConfig, num_classes: int) -> None:
-    if num_classes != cfg.num_classes:
+def _load_data(path: str, cfg: ModelConfig) -> Dataset:
+    ds = load_dataset(path)
+    if ds.num_classes != cfg.num_classes:
         raise ConfigError(
-            f"dataset has {num_classes} classes but the model expects {cfg.num_classes}"
+            f"dataset has {ds.num_classes} classes but the model expects {cfg.num_classes}"
         )
+    return ds
 
 
 def _check_out(out: str) -> None:
@@ -68,47 +70,46 @@ def _check_out(out: str) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = preset(args.preset)
-    ds = generate(spec, args.seed)
+    ds = generate(preset(args.preset), args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {len(ds)} images, {ds.num_classes} classes ({args.preset})")
     return 0
 
 
+def _train_and_save(model: PromptedClassifier, run: RunConfig, train_ds: Dataset, out: str,
+                    eval_ds: Dataset | None = None) -> tuple[int, float]:
+    """Train `model` and save it and `<out>.metrics.jsonl`; return the steps
+    and the last step's accuracy on `eval_ds` (default: the training data)."""
+    trainer = Trainer(model, run, train_ds)
+    acc = trainer.train(eval_dataset=eval_ds)[-1].accuracy
+    save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), out)
+    trainer.write_metrics(out + ".metrics.jsonl")
+    return trainer.step, acc
+
+
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg, run = _load_config(args.config)
-    run = _apply_overrides(run, args)
-    ds = load_dataset(args.data)
-    _check_classes(cfg, ds.num_classes)
+    cfg, run = _run_configs(args)
+    ds = _load_data(args.data, cfg)
     _check_out(args.out)
     # nothing frozen here: the backbone itself is being trained
     model = PromptedClassifier.init(cfg, SeededStreams(run.seed))
-    trainer = Trainer(model, run, ds)
-    # the last step already evaluated on the same data
-    acc = trainer.train()[-1].accuracy
-    save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), args.out)
-    trainer.write_metrics(str(args.out) + ".metrics.jsonl")
-    print(f"pretrain: {trainer.step} steps, train accuracy {acc:.6f}")
+    steps, acc = _train_and_save(model, run, ds, args.out)
+    print(f"pretrain: {steps} steps, train accuracy {acc:.6f}")
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    cfg, run = _load_config(args.config)
-    run = _apply_overrides(run, args)
+    cfg, run = _run_configs(args)
     if args.method == "vpt":
         cfg = dataclasses.replace(cfg, prompt_inst=0)
     pre, _ = restore_model(load_checkpoint(args.backbone_ckpt))
-    ds = load_dataset(args.data)
-    _check_classes(cfg, ds.num_classes)
+    ds = _load_data(args.data, cfg)
     _check_out(args.out)
     model = PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(run.seed))
     train_ds, test_ds = split(ds, run.train_frac, run.seed)
-    trainer = Trainer(model, run, train_ds)
-    acc = trainer.train(eval_dataset=test_ds)[-1].accuracy
-    save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), args.out)
-    trainer.write_metrics(str(args.out) + ".metrics.jsonl")
-    print(f"tune [{args.method}]: {trainer.step} steps, test accuracy {acc:.6f}")
+    steps, acc = _train_and_save(model, run, train_ds, args.out, test_ds)
+    print(f"tune [{args.method}]: {steps} steps, test accuracy {acc:.6f}")
     print(f"frozen digest {model.frozen_digest()}")
     print(f"wrote {args.out}")
     return 0
@@ -116,8 +117,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, _ = restore_model(load_checkpoint(args.ckpt))
-    ds = load_dataset(args.data)
-    _check_classes(model.cfg, ds.num_classes)
+    ds = _load_data(args.data, model.cfg)
     print(f"accuracy {evaluate(model, ds):.6f}")
     return 0
 
@@ -128,7 +128,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = None
     if args.config is not None:
         cfg, _ = _load_config(args.config)
-    report = full_model_check(cfg, seed=args.seed or 0, tol=args.tol)
+    report = full_model_check(cfg, seed=args.seed, tol=args.tol)
     print(report.summary())
     return 0 if report.passed else 4
 
@@ -143,7 +143,9 @@ def cmd_simmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call reuses: building one takes about 1.5 ms."""
     p = argparse.ArgumentParser(
         prog="v2apt",
         description="train and probe prompt-tuned vision transformers on synthetic tasks",
@@ -157,27 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
-    pt = sub.add_parser("pretrain", help="train a backbone from scratch on a dataset")
-    pt.add_argument("--config", help="config text file (defaults apply if omitted)")
-    pt.add_argument("--data", required=True)
-    pt.add_argument("--out", required=True)
-    pt.add_argument("--steps", type=int, help="override the configured step budget")
-    pt.add_argument("--seed", type=int, help="override the configured seed")
-    pt.add_argument("--batch-size", type=int, dest="batch_size")
+    # the flags that pretrain and tune share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="config text file (defaults apply if omitted)")
+    run.add_argument("--data", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--steps", type=int, help="override the configured step budget")
+    run.add_argument("--seed", type=int, help="override the configured seed")
+    run.add_argument("--batch-size", type=int, dest="batch_size")
+
+    pt = sub.add_parser("pretrain", parents=[run], help="train a backbone from scratch on a dataset")
     pt.set_defaults(func=cmd_pretrain)
 
-    tn = sub.add_parser("tune", help="adapt a frozen pretrained backbone to a dataset")
-    tn.add_argument("--config", help="config text file (defaults apply if omitted)")
+    tn = sub.add_parser("tune", parents=[run], help="adapt a frozen pretrained backbone to a dataset")
     tn.add_argument("--backbone-ckpt", required=True, dest="backbone_ckpt")
-    tn.add_argument("--data", required=True)
     tn.add_argument("--method", required=True, choices=("vpt", "v2apt"),
                     help="vpt: static prompts only; v2apt: composed with generated prompts")
-    tn.add_argument("--out", required=True)
     tn.add_argument("--train-frac", type=float, dest="train_frac",
                     help="internal train/test split fraction (default from config)")
-    tn.add_argument("--steps", type=int, help="override the configured step budget")
-    tn.add_argument("--seed", type=int, help="override the configured seed")
-    tn.add_argument("--batch-size", type=int, dest="batch_size")
     tn.set_defaults(func=cmd_tune)
 
     ev = sub.add_parser("eval", help="report accuracy of a checkpoint on a dataset")
@@ -203,22 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every `main` call reuses: building one takes about 1.5 ms."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # pin glibc's mmap (-3) and trim (-1) thresholds, which it otherwise raises
-    # as large blocks are freed, and keep one arena (-8), so that the encoder
-    # worker reuses the heap too: see "Heap thresholds" in the README
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)
-        mallopt(-1, 64 << 20)
-        mallopt(-8, 1)
     try:
         return args.func(args)
     except (ConfigError, ValidationError) as e:

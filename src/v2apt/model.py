@@ -12,6 +12,9 @@ the baseline itself, not an emulation of it: same parameters, same tape, same
 random draws. Which groups a model of a config holds, and in what shapes, is
 stated once, by `param_fault`; the constructor refuses any other parameters,
 and nothing adds or drops one after it.
+
+Importing this module, as every import of the package does, pins glibc's
+heap for the whole process (`_pin_heap`): every caller runs on one policy.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import ctypes
 import functools
 import glob
 import os
+import sys
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -63,6 +67,20 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+def _pin_heap() -> None:
+    """Pin glibc's mmap (-3) and trim (-1) thresholds, which it otherwise raises
+    as large blocks are freed, and keep one arena (-8), so that the encoder
+    worker reuses the heap too: see "Heap thresholds" in the README."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)
+        mallopt(-1, 64 << 20)
+        mallopt(-8, 1)
+
+
+_pin_heap()
 
 
 @dataclass

@@ -553,14 +553,20 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
+def _axis(op: str, axis: int, rank: int) -> int:
+    """`axis` as an index from 0 into `rank` axes; a negative one counts from the end."""
+    ax = axis + rank if axis < 0 else axis
+    if not 0 <= ax < rank:
+        raise ShapeError(f"{op}: axis {axis} out of range for rank {rank}")
+    return ax
+
+
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     rank = parts[0].ndim
-    ax = axis + rank if axis < 0 else axis
-    if not 0 <= ax < rank:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {rank}")
+    ax = _axis("concat", axis, rank)
     ref = list(parts[0].shape)
     for p in parts[1:]:
         other = list(p.shape)
@@ -587,9 +593,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
-    ax = axis + a.ndim if axis < 0 else axis
-    if not 0 <= ax < a.ndim:
-        raise ShapeError(f"slice: axis {axis} out of range for rank {a.ndim}")
+    ax = _axis("slice", axis, a.ndim)
     if not 0 <= start <= stop <= a.shape[ax]:
         raise ShapeError(f"slice: [{start}:{stop}] invalid for extent {a.shape[ax]} on axis {axis}")
     index = [slice(None)] * a.ndim
@@ -627,9 +631,7 @@ def expand_leading(a, n: int) -> Tensor:
 
 def tsum(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    ax = None if axis is None else (axis + a.ndim if axis < 0 else axis)
-    if ax is not None and not 0 <= ax < a.ndim:
-        raise ShapeError(f"sum: axis {axis} out of range for rank {a.ndim}")
+    ax = None if axis is None else _axis("sum", axis, a.ndim)
     out = wrap(a.data.sum(axis=ax), a.requires_grad)
     if not _taped(out):
         return out
@@ -647,9 +649,7 @@ def tsum(a, axis: int | None = None) -> Tensor:
 
 def tmean(a, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-    ax = None if axis is None else (axis + a.ndim if axis < 0 else axis)
-    if ax is not None and not 0 <= ax < a.ndim:
-        raise ShapeError(f"mean: axis {axis} out of range for rank {a.ndim}")
+    ax = None if axis is None else _axis("mean", axis, a.ndim)
     count = a.size if ax is None else a.shape[ax]
     if count == 0:
         raise ShapeError("mean over zero elements")
@@ -853,9 +853,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    ax = axis + a.ndim if axis < 0 else axis
-    if not 0 <= ax < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for rank {a.ndim}")
+    ax = _axis("softmax", axis, a.ndim)
     y = np.moveaxis(_softmax_rows(np.moveaxis(a.data, ax, -1).copy()), -1, ax)
     out = wrap(y, a.requires_grad)
     if not _taped(out):

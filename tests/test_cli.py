@@ -494,11 +494,18 @@ def test_unwritable_out_exits_3_before_training(workdir, tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bad_simmap_index_exits_2(workdir, tmp_path):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--index", "100000", "image index 100000 out of range [0, "),
+    ("--layer", "-1", "layers [-1] out of range [0, 2)"),
+    ("--layer", "4", "layers [4] out of range [0, 2)"),
+])
+def test_bad_simmap_index_exits_2(workdir, tmp_path, capsys, flag, value, message):
     rc = main(["simmap", "--ckpt", str(workdir / "tuned.v2ap"),
-               "--data", str(workdir / "easy.v2ds"),
-               "--index", "100000", "--out", str(tmp_path / "m.csv")])
+               "--data", str(workdir / "easy.v2ds"), flag, value, "--out", str(tmp_path / "m.csv")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gradcheck_subcommand_passes(capsys):
@@ -619,12 +626,11 @@ def test_easy3_pretrain_hits_95_within_preset_budget(tmp_path, capsys):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="mallopt is glibc's")
-def test_main_pins_heap_so_chunk_sized_temporaries_are_reused(tmp_path):
+def test_importing_v2apt_pins_heap_so_chunk_sized_temporaries_are_reused():
     # a fresh process, so no earlier large free has moved glibc's thresholds
-    code = f"""
+    code = """
 import resource, threading, numpy as np
-from v2apt.cli import main
-assert main(["gen-data", "--preset", "easy-3", "--out", {str(tmp_path / "d.v2ds")!r}]) == 0
+import v2apt
 n = 256 * 17 * 192  # one 256-image chunk's MLP activation, float32
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -648,6 +654,31 @@ print(*counts)
     # mapped afresh, each array would fault in its 816 pages again
     caller, worker = map(int, proc.stdout.split()[-2:])
     assert caller < 100 and worker < 100, (caller, worker)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="mallopt is glibc's")
+def test_library_tune_steps_reuse_the_heap_without_cli_main():
+    # a fresh process that never calls cli.main: a library caller gets the
+    # same heap policy as the command line
+    code = """
+import resource
+from v2apt import (PromptedClassifier, RunConfig, SeededStreams, Trainer, default_config,
+                   generate, preset)
+cfg, streams = default_config(), SeededStreams(0)
+model = PromptedClassifier.from_pretrained(PromptedClassifier.init(cfg, streams), cfg, streams)
+trainer = Trainer(model, RunConfig(batch_size=16), generate(preset("shift-B"), seed=0))
+for _ in range(3):
+    trainer.train_step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    trainer.train_step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    proc = _child(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    # under glibc's own thresholds, without the pin, this faults about 740 pages a step
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 50 * 10, faults
 
 
 def _fresh_process(code: str) -> str:
