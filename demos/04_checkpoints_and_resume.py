@@ -44,7 +44,9 @@ print("bit-identical loss sequences:",
 # Interrupt a third run at step 20, write a checkpoint, restore it in a new
 # process (here: new objects), and finish. The second half matches the
 # uninterrupted run step for step, because the loop addresses batches and
-# noise draws by step index rather than by mutable generator state.
+# noise draws by step index rather than by mutable generator state. The step
+# index is the optimizer's step count, so the restored optimizer carries it:
+# the resumed trainer starts at step 20 with nothing else to set.
 
 from v2apt import load_checkpoint, restore_model, restore_optimizer, save_checkpoint, snapshot
 
@@ -53,12 +55,12 @@ c.train(until_step=20)
 
 with tempfile.TemporaryDirectory() as tmp:
     mid = Path(tmp) / "mid.v2ap"
-    save_checkpoint(snapshot(c.model, run, c.optimizer, c.step), mid)
+    save_checkpoint(snapshot(c.model, run, c.optimizer), mid)
     print("checkpoint bytes:", mid.stat().st_size)
 
     ck = load_checkpoint(mid)
     model, run_back = restore_model(ck)
-    resumed = Trainer(model, run_back, ds, step=ck.step, optimizer=restore_optimizer(ck))
+    resumed = Trainer(model, run_back, ds, optimizer=restore_optimizer(ck))
     resumed.train()
 
 tail_matches = all(

@@ -8,8 +8,10 @@ prompt generator, which other modules add to the same dict.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-from typing import Iterable, Mapping, Sequence
+import math
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +47,25 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@contextlib.contextmanager
+def allocating(shapes_of: Callable[[], Mapping[str, tuple[int, ...]]]):
+    """Yield `shapes_of()`, the shapes of a config's tensors, for the body to
+    draw. A config whose tensors cannot be held raises ConfigError, naming a
+    tensor no array can index or the allocation that failed, in the listing
+    or in the draw."""
+    try:
+        shapes = shapes_of()
+        for name, shape in shapes.items():
+            if math.prod(shape) > np.iinfo(np.intp).max // 8:  # bytes of a float64 draw
+                raise ConfigError(f"tensor {name!r} of shape {shape} is too large for an array")
+        yield shapes
+        return
+    except MemoryError as e:
+        cause = str(e) or "out of memory"
+    # raised outside the handler, so that no traceback keeps a partial listing alive
+    raise ConfigError(f"cannot allocate the parameters of this config: {cause}")
+
+
 def init_backbone(cfg: ModelConfig, streams: SeededStreams) -> Params:
     """Fresh trainable backbone + head parameters, deterministic per seed.
 
@@ -54,16 +75,17 @@ def init_backbone(cfg: ModelConfig, streams: SeededStreams) -> Params:
     """
     rng, head_rng = streams.generator("init.backbone"), streams.generator("init.head")
     p: Params = {}
-    for name, shape in param_shapes(cfg).items():
-        if name in ("backbone.pos", "backbone.cls"):
-            value = rng.normal(0.0, 0.02, size=shape)
-        elif name.endswith(".g"):
-            value = np.ones(shape)
-        elif len(shape) == 1:
-            value = np.zeros(shape)
-        else:
-            value = _xavier(head_rng if name.startswith("head.") else rng, *shape)
-        p[name] = Tensor(value, requires_grad=True)
+    with allocating(lambda: param_shapes(cfg)) as shapes:
+        for name, shape in shapes.items():
+            if name in ("backbone.pos", "backbone.cls"):
+                value = rng.normal(0.0, 0.02, size=shape)
+            elif name.endswith(".g"):
+                value = np.ones(shape)
+            elif len(shape) == 1:
+                value = np.zeros(shape)
+            else:
+                value = _xavier(head_rng if name.startswith("head.") else rng, *shape)
+            p[name] = Tensor(value, requires_grad=True)
     return p
 
 

@@ -7,12 +7,13 @@ named RNG cursors, the step counter, and a CRC32 footer over every preceding
 byte. A `Checkpoint` holds the configs, which a save writes as text and a
 load parses once, refusing text that is not canonical; a load refuses name
 sections that are not strictly ascending too, so save -> load -> save
-reproduces an accepted file byte for byte. A save writes the optimizer
-settings from the run config and the one RNG cursor, `eps`, from the step; a
-load checks both. Save, load and `restore_model` apply one check, `_check`,
-so a save writes exactly the files a load accepts and a restore builds a
-model from no other. Its tensor part is the model's own rule,
-`model.param_fault`. Each array is checked finite where it meets the bytes.
+reproduces an accepted file byte for byte. A save writes the step and the
+one RNG cursor, `eps`, from the optimizer's step count (0 without one), and
+the optimizer settings from the run config; a load checks all three. Save,
+load and `restore_model` apply one check, `_check`, so a save writes exactly
+the files a load accepts and a restore builds a model from no other. Its
+tensor part is the model's own rule, `model.param_fault`. Each array is
+checked finite where it meets the bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
     optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
-    step: int = 0
 
 
 def _pack_name(out: bytearray, name: str) -> None:
@@ -133,11 +133,12 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
             _pack_array(out, o.m[name], f"first moment {name!r}")
             _pack_array(out, o.v[name], f"second moment {name!r}")
 
+    step = 0 if ck.optimizer is None else ck.optimizer.t
     out += struct.pack("<I", 1)
     _pack_name(out, _CURSOR)
-    out += struct.pack("<Q", ck.step)
+    out += struct.pack("<Q", step)
 
-    out += struct.pack("<Q", ck.step)
+    out += struct.pack("<Q", step)
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     with open(path, "wb") as f:
         f.write(bytes(out))
@@ -237,6 +238,9 @@ def load_checkpoint(path) -> Checkpoint:
     step = r.unpack("<Q", "step")
     if r.at != len(r.blob):
         raise FormatError(f"{len(r.blob) - r.at} trailing byte(s) after step field")
+    if step != (want := 0 if optimizer is None else optimizer.t):
+        raise FormatError(f"step field {step} is not {want}, the step count of "
+                          + ("its optimizer" if optimizer else "a checkpoint without moments"))
     if cursors != [(_CURSOR, step)]:
         shown = ", ".join(f"{n}={c}" for n, c in cursors[:4]) + (", ..." if len(cursors) > 4 else "")
         raise FormatError(f"rng cursors [{shown}] are not the one cursor {_CURSOR}={step}")
@@ -246,7 +250,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"invalid config text: {e}") from None
     if config_to_text(cfg, run) != text:
         raise FormatError("config text is not canonical: a save would write it differently")
-    ck = Checkpoint(cfg, run, tensors, frozenset(frozen), optimizer, int(step))
+    ck = Checkpoint(cfg, run, tensors, frozenset(frozen), optimizer)
     _check(ck)
     settings = _settings(run)
     if raw is not None and raw != struct.pack("<5d", *settings):
@@ -270,12 +274,7 @@ def _copy_optimizer(o: AdamW) -> AdamW:
     return opt
 
 
-def snapshot(
-    model: PromptedClassifier,
-    run: RunConfig,
-    optimizer: AdamW | None = None,
-    step: int = 0,
-) -> Checkpoint:
+def snapshot(model: PromptedClassifier, run: RunConfig, optimizer: AdamW | None = None) -> Checkpoint:
     opt = None
     if optimizer is not None:
         opt = _copy_optimizer(optimizer)
@@ -290,7 +289,6 @@ def snapshot(
         tensors={n: p.data.copy() for n, p in model.params.items()},
         frozen=model.frozen,
         optimizer=opt,
-        step=step,
     )
 
 

@@ -82,7 +82,7 @@ def _train_and_save(model: PromptedClassifier, run: RunConfig, train_ds: Dataset
     and the last step's accuracy on `eval_ds` (default: the training data)."""
     trainer = Trainer(model, run, train_ds)
     acc = trainer.train(eval_dataset=eval_ds)[-1].accuracy
-    save_checkpoint(snapshot(model, run, trainer.optimizer, trainer.step), out)
+    save_checkpoint(snapshot(model, run, trainer.optimizer), out)
     trainer.write_metrics(out + ".metrics.jsonl")
     return trainer.step, acc
 

@@ -89,12 +89,20 @@ class ForwardResult:
     kl: Tensor | None  # scalar, present only when the generator ran
 
 
+def _adapter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    shapes = P.param_shapes(cfg) if cfg.prompt_dom else {}
+    if cfg.prompt_inst:
+        shapes.update(V.param_shapes(cfg))
+    return shapes
+
+
 def adapter_params(cfg: ModelConfig, streams: SeededStreams) -> Params:
     """Fresh adapter groups of `cfg`: domain prompts when k_dom > 0, the
     latent generator when k_inst > 0, each drawn from its own named stream."""
-    params = P.init_domain_prompts(cfg, streams) if cfg.prompt_dom else {}
-    if cfg.prompt_inst:
-        params.update(V.init_vae(cfg, streams))
+    with B.allocating(lambda: _adapter_shapes(cfg)):
+        params = P.init_domain_prompts(cfg, streams) if cfg.prompt_dom else {}
+        if cfg.prompt_inst:
+            params.update(V.init_vae(cfg, streams))
     return params
 
 
@@ -103,10 +111,7 @@ def param_fault(cfg: ModelConfig, params: Mapping[str, Tensor | np.ndarray]) -> 
     which the constructor and every checkpoint apply. A model holds the
     backbone and head, plus no adapters or exactly the groups `adapter_params`
     draws, each tensor in the shape the config implies."""
-    adapters = P.param_shapes(cfg) if cfg.prompt_dom else {}
-    if cfg.prompt_inst:
-        adapters.update(V.param_shapes(cfg))
-    expected = B.param_shapes(cfg)
+    adapters, expected = _adapter_shapes(cfg), B.param_shapes(cfg)
     if adapters.keys() & params.keys():
         expected.update(adapters)
     for problem, found in (("lacks tensor", expected.keys() - params.keys()),

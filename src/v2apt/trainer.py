@@ -51,9 +51,10 @@ class AdamW:
     """Decoupled-weight-decay Adam over the parameters that require a gradient.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta.
-    It holds only what it learns, the step count and moment buffers keyed by
-    name (so they serialize into checkpoints); its settings come from the run
-    config. Parameters are replaced with fresh tensors each step.
+    It holds only what it learns, the step count (the run's position, which
+    `Trainer.step` reads) and moment buffers keyed by name (so they serialize
+    into checkpoints); its settings come from the run config. A step checks
+    every update finite, then replaces parameters and moments with fresh arrays.
     """
 
     def __init__(self):
@@ -73,21 +74,29 @@ class AdamW:
                 raise ContractError(f"no gradient for trainable parameter {name!r}")
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r} at step {self.t}")
-        self.t += 1
         b1, b2, lr = run.adam_beta1, run.adam_beta2, run.lr
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
-        for name in names:
-            p = params[name]
-            g = p.grad
-            # a first step starts from zero moments: 0.9 * 0.0 + x == x
-            m = b1 * self.m.get(name, 0.0) + (1.0 - b1) * g
-            v = b2 * self.v.get(name, 0.0) + (1.0 - b2) * g * g
+        bc1 = 1.0 - b1 ** (self.t + 1)
+        bc2 = 1.0 - b2 ** (self.t + 1)
+        updates = {}
+        with np.errstate(all="ignore"):  # a fault is caught below, before any state moves
+            for name in names:
+                p = params[name]
+                g = p.grad
+                # a first step starts from zero moments: 0.9 * 0.0 + x == x
+                m = b1 * self.m.get(name, 0.0) + (1.0 - b1) * g
+                v = b2 * self.v.get(name, 0.0) + (1.0 - b2) * g * g
+                m_hat = m / bc1
+                v_hat = v / bc2
+                new = p.data - lr * m_hat / (np.sqrt(v_hat) + run.adam_eps) - lr * run.weight_decay * p.data
+                new = new.astype(p.data.dtype, copy=False)
+                # a non-finite m makes `new` non-finite; an infinite v does not
+                if not (np.isfinite(new).all() and np.isfinite(v).all()):
+                    raise NumericError(f"non-finite update for parameter {name!r} at step {self.t}")
+                updates[name] = m, v, new
+        self.t += 1
+        for name, (m, v, new) in updates.items():
             self.m[name], self.v[name] = m, v
-            m_hat = m / bc1
-            v_hat = v / bc2
-            new = p.data - lr * m_hat / (np.sqrt(v_hat) + run.adam_eps) - lr * run.weight_decay * p.data
-            params[name] = T.wrap(new.astype(p.data.dtype, copy=False), requires_grad=True)
+            params[name] = T.wrap(new, requires_grad=True)
 
 
 def warmup_beta(step: int, run: RunConfig) -> float:
@@ -117,14 +126,13 @@ def evaluate(model: PromptedClassifier, ds: Dataset) -> float:
 
 
 class Trainer:
-    """Owns one model, one optimizer, and the step-addressed loop state."""
+    """Owns one model and one optimizer, whose step count is the loop's position."""
 
     def __init__(
         self,
         model: PromptedClassifier,
         run: RunConfig,
         dataset: Dataset,
-        step: int = 0,
         optimizer: AdamW | None = None,
     ):
         if len(dataset) < run.batch_size:
@@ -135,9 +143,13 @@ class Trainer:
         self.run = run
         self.dataset = dataset
         self.streams = SeededStreams(run.seed)
-        self.step = step
         self.optimizer = optimizer or AdamW()
         self.history: list[StepMetrics] = []
+
+    @property
+    def step(self) -> int:
+        """The run's position: its optimizer's step count."""
+        return self.optimizer.t
 
     @property
     def steps_per_epoch(self) -> int:
@@ -150,19 +162,19 @@ class Trainer:
         return self.dataset.images[idx], self.dataset.labels[idx]
 
     def train_step(self) -> StepMetrics:
-        images, labels = self._batch_at(self.step)
-        beta = warmup_beta(self.step, self.run)
-        rng = self.streams.generator("eps", cursor=self.step)
+        step = self.step
+        images, labels = self._batch_at(step)
+        beta = warmup_beta(step, self.run)
+        rng = self.streams.generator("eps", cursor=step)
         try:
             with Tape() as tape:
                 out = self.model.forward(images, rng=rng)
                 loss, parts = total_loss(out.logits, labels, out.kl, beta)
                 tape.backward(loss)
         except NumericError as e:
-            raise NumericError(f"aborting at step {self.step}: {e}") from e
+            raise NumericError(f"aborting at step {step}: {e}") from e
         self.optimizer.step(self.model.params, self.run)
-        metrics = StepMetrics(step=self.step, task_ce=parts.task_ce, kl=parts.kl, beta=parts.beta)
-        self.step += 1
+        metrics = StepMetrics(step=step, task_ce=parts.task_ce, kl=parts.kl, beta=parts.beta)
         self.history.append(metrics)
         return metrics
 

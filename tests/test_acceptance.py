@@ -80,7 +80,7 @@ def transfer(tmp_path_factory):
     ckpt_path = work / "v2apt-shift-B.v2ap"
     data_path = work / "shift-B.v2ds"
     save_checkpoint(
-        snapshot(v2apt_model, v2apt_run, v2apt_trainer.optimizer, v2apt_trainer.step),
+        snapshot(v2apt_model, v2apt_run, v2apt_trainer.optimizer),
         ckpt_path,
     )
     save_dataset(tgt, data_path)
@@ -228,10 +228,10 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
     # interrupt at step 20, round-trip through a file, finish
     m3, t3 = run_once(until=20)
     mid = tmp_path / "mid.v2ap"
-    save_checkpoint(snapshot(m3, run, t3.optimizer, t3.step), mid)
+    save_checkpoint(snapshot(m3, run, t3.optimizer), mid)
     ck = load_checkpoint(mid)
     m4, run4 = restore_model(ck)
-    t4 = Trainer(m4, run4, ds, step=ck.step, optimizer=restore_optimizer(ck))
+    t4 = Trainer(m4, run4, ds, optimizer=restore_optimizer(ck))
     t4.train()
     resumed_equal = all(
         a.task_ce == b.task_ce

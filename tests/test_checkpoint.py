@@ -24,19 +24,19 @@ from v2apt.tensor import Tensor, float64_mode
 
 def small_checkpoint() -> C.Checkpoint:
     """A valid tiny-config snapshot: adapters on a frozen backbone, random
-    moments for the unfrozen tensors, optimizer step 7 and step 42."""
+    moments for the unfrozen tensors, at optimizer step 42."""
     model = tuned()
     g = np.random.default_rng(0)
     opt = TR.AdamW()
-    opt.t = 7
+    opt.t = 42
     for name, p in model.trainables().items():
         opt.m[name] = g.standard_normal(p.shape).astype(np.float32)
         opt.v[name] = g.random(p.shape).astype(np.float32)
-    return C.snapshot(model, RunConfig(), opt, step=42)
+    return C.snapshot(model, RunConfig(), opt)
 
 
 def assert_same_checkpoint(a: C.Checkpoint, b: C.Checkpoint) -> None:
-    assert (a.cfg, a.run, a.frozen, a.step) == (b.cfg, b.run, b.frozen, b.step)
+    assert (a.cfg, a.run, a.frozen) == (b.cfg, b.run, b.frozen)
     assert (a.optimizer is None) == (b.optimizer is None)
     groups = [(a.tensors, b.tensors)]
     if a.optimizer is not None:
@@ -79,13 +79,20 @@ def _checkpoint_fields(path) -> list[tuple[int, int, str]]:
     return fields
 
 
+def _write_fields(path, raws: dict[str, bytes]) -> None:
+    """Put each of `raws` in place of the one field a load reads as its key, re-sealed."""
+    body = bytearray(path.read_bytes()[:-4])
+    fields = _checkpoint_fields(path)
+    for what, raw in raws.items():
+        [(at, n)] = [(at, n) for at, n, label in fields if label == what]
+        assert len(raw) == n
+        body[at:at + n] = raw
+    path.write_bytes(_reseal(bytes(body)))
+
+
 def _write_over(path, what: str, arr: np.ndarray) -> None:
     """Put `arr`'s bytes in place of the data a load reads as `what`, re-sealed."""
-    [(at, n)] = [(at, n) for at, n, label in _checkpoint_fields(path) if label == f"{what} data"]
-    raw = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    assert len(raw) == n
-    body = path.read_bytes()[:-4]
-    path.write_bytes(_reseal(body[:at] + raw + body[at + n:]))
+    _write_fields(path, {f"{what} data": arr.astype(arr.dtype.newbyteorder("<")).tobytes()})
 
 
 _SECTIONS = {  # name section -> (label of its count, label of the field after it)
@@ -132,9 +139,29 @@ def test_all_fields_survive_round_trip(tmp_path):
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
     back = C.load_checkpoint(p)
-    assert (back.step, back.optimizer.t) == (42, 7)
+    assert back.optimizer.t == 42
     assert back.frozen and back.frozen < back.tensors.keys()
     assert_same_checkpoint(back, ck)
+
+
+@pytest.mark.parametrize("moments", [True, False], ids=["moments", "no-moments"])
+def test_a_step_other_than_the_optimizers_step_count_is_refused(tmp_path, capsys, moments):
+    # as a writer that kept the step apart from the optimizer could write it:
+    # the step field and the cursor agree with each other, not with the step count
+    ck = small_checkpoint()
+    if not moments:
+        ck.optimizer = None
+    p = tmp_path / "ck.v2ap"
+    C.save_checkpoint(ck, p)
+    _write_fields(p, dict.fromkeys(["rng cursor", "step"], struct.pack("<Q", 7)))
+    error = ("step field 7 is not 42, the step count of its optimizer" if moments
+             else "step field 7 is not 0, the step count of a checkpoint without moments")
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        C.load_checkpoint(p)
+    D.save_dataset(D.generate(D.TaskSpec(classes=3, per_class=1), seed=0), tmp_path / "d.v2ds")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(p), "--data", str(tmp_path / "d.v2ds")]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_optimizer_absent_round_trips(tmp_path):
@@ -147,7 +174,7 @@ def test_optimizer_absent_round_trips(tmp_path):
 
 def test_float64_tensors_round_trip(tmp_path):
     with float64_mode():
-        ck = C.snapshot(tuned(), RunConfig(), TR.AdamW(), step=3)
+        ck = C.snapshot(tuned(), RunConfig(), TR.AdamW())
     assert {a.dtype for a in ck.tensors.values()} == {np.dtype(np.float64)}
     p = tmp_path / "ck.v2ap"
     C.save_checkpoint(ck, p)
@@ -251,7 +278,7 @@ def dataset():
 def test_snapshot_restore_preserves_model(tmp_path):
     model = tuned()
     run = run_cfg()
-    ck = C.snapshot(model, run, step=0)
+    ck = C.snapshot(model, run)
     p = tmp_path / "m.v2ap"
     C.save_checkpoint(ck, p)
     model2, run2 = C.restore_model(C.load_checkpoint(p))
@@ -302,7 +329,7 @@ def test_training_and_a_save_restore_keep_a_models_parameter_set(tmp_path, built
     trainer.train()
     assert _param_set(model) == want and param_fault(cfg, model.params) is None
     p = tmp_path / "trained.v2ap"
-    C.save_checkpoint(C.snapshot(model, run, trainer.optimizer, trainer.step), p)
+    C.save_checkpoint(C.snapshot(model, run, trainer.optimizer), p)
     back, _ = C.restore_model(C.load_checkpoint(p))
     assert _param_set(back) == want and param_fault(cfg, back.params) is None
 
@@ -318,11 +345,11 @@ def test_interrupted_training_matches_uninterrupted(tmp_path):
     for _ in range(6):
         first.train_step()
     p = tmp_path / "mid.v2ap"
-    C.save_checkpoint(C.snapshot(first.model, run, first.optimizer, step=first.step), p)
+    C.save_checkpoint(C.snapshot(first.model, run, first.optimizer), p)
 
     ck = C.load_checkpoint(p)
     model2, run2 = C.restore_model(ck)
-    second = TR.Trainer(model2, run2, ds, step=ck.step, optimizer=C.restore_optimizer(ck))
+    second = TR.Trainer(model2, run2, ds, optimizer=C.restore_optimizer(ck))
     resumed = [m.task_ce for m in second.train()]
 
     assert [m.task_ce for m in first.history] + resumed == losses_straight
@@ -336,19 +363,19 @@ def test_resumed_checkpoint_saves_identically(tmp_path):
     a = TR.Trainer(tuned(), run, ds)
     a.train()
     pa = tmp_path / "straight.v2ap"
-    C.save_checkpoint(C.snapshot(a.model, run, a.optimizer, a.step), pa)
+    C.save_checkpoint(C.snapshot(a.model, run, a.optimizer), pa)
 
     b1 = TR.Trainer(tuned(), run, ds)
     for _ in range(6):
         b1.train_step()
     pm = tmp_path / "mid.v2ap"
-    C.save_checkpoint(C.snapshot(b1.model, run, b1.optimizer, b1.step), pm)
+    C.save_checkpoint(C.snapshot(b1.model, run, b1.optimizer), pm)
     ck = C.load_checkpoint(pm)
     model2, run2 = C.restore_model(ck)
-    b2 = TR.Trainer(model2, run2, ds, step=ck.step, optimizer=C.restore_optimizer(ck))
+    b2 = TR.Trainer(model2, run2, ds, optimizer=C.restore_optimizer(ck))
     b2.train()
     pb = tmp_path / "resumed.v2ap"
-    C.save_checkpoint(C.snapshot(b2.model, run2, b2.optimizer, b2.step), pb)
+    C.save_checkpoint(C.snapshot(b2.model, run2, b2.optimizer), pb)
 
     assert pa.read_bytes() == pb.read_bytes()
 
@@ -360,12 +387,12 @@ def test_a_step_after_restore_optimizer_leaves_the_checkpoint_moments_unchanged(
     first = TR.Trainer(tuned(), run_cfg(steps=4), ds)
     first.train_step()
     p = tmp_path / "one.v2ap"
-    C.save_checkpoint(C.snapshot(first.model, first.run, first.optimizer, first.step), p)
+    C.save_checkpoint(C.snapshot(first.model, first.run, first.optimizer), p)
     ck = C.load_checkpoint(p)
     saved = {name: (m.copy(), ck.optimizer.v[name].copy()) for name, m in ck.optimizer.m.items()}
     opt = C.restore_optimizer(ck)
     model, run = C.restore_model(ck)
-    TR.Trainer(model, run, ds, step=ck.step, optimizer=opt).train_step()
+    TR.Trainer(model, run, ds, optimizer=opt).train_step()
     assert opt.t == ck.optimizer.t + 1
     assert saved.keys() == opt.m.keys()
     for name, (m, v) in saved.items():
@@ -377,7 +404,7 @@ def test_resume_from_moments_missing_an_unfrozen_tensor_is_refused(tmp_path):
     # such a file would leave head.b fixed for the whole resumed run
     first = TR.Trainer(tuned(), run_cfg(steps=4), dataset())
     first.train_step()
-    ck = C.snapshot(first.model, first.run, first.optimizer, first.step)
+    ck = C.snapshot(first.model, first.run, first.optimizer)
     del ck.optimizer.m["head.b"], ck.optimizer.v["head.b"]
     p = tmp_path / "gap.v2ap"
     with pytest.raises(FormatError, match=r"has no moments for unfrozen tensor\(s\) 'head.b'"):
@@ -473,7 +500,7 @@ def _mutate(ck: C.Checkpoint, draw):
     kind = draw(st.sampled_from([
         "drop tensor", "add tensor", "drop adapter group", "drop optimizer", "drop moment",
         "add moment", "moment shape", "moment dtype", "finite value", "non-finite value",
-        "freeze stray name", "config text", "step", "name order",
+        "freeze stray name", "config text", "step", "step field", "name order",
     ]))
     if kind == "drop tensor":
         name = draw(st.sampled_from(names))
@@ -535,8 +562,12 @@ def _mutate(ck: C.Checkpoint, draw):
                 _edit_configs(ck, old, new, changes)
             return (_save_then(lambda p: p.write_bytes(_with_config_text(p.read_bytes(), old, new))),
                     f"invalid config text: {error}")
-    else:  # valid: any step the file's u64 holds
-        ck.step = draw(st.integers(0, 2**64 - 1))
+    elif kind == "step field":  # a step other than the optimizer's, which save never writes
+        step = draw(st.integers(0, 2**64 - 1).filter(lambda step: step != o.t))
+        return (_save_then(lambda p: _write_fields(p, {"step": struct.pack("<Q", step)})),
+                f"step field {step} is not {o.t}, the step count of its optimizer")
+    else:  # valid: any optimizer step the file's u64 holds; the step follows it
+        o.t = draw(st.integers(0, 2**64 - 1))
     return None, None
 
 
@@ -593,6 +624,15 @@ def test_save_and_load_agree_on_every_config_edit(tmp_path, edit):
     ids=lambda drawn: " ".join(map(str, drawn)))
 def test_save_and_load_agree_on_each_adapter_drop_and_name_order(tmp_path, drawn):
     # one adapter group is not a model, and names out of order would re-save to other bytes
+    ck = small_checkpoint()
+    draws = iter(drawn)
+    _assert_save_and_load_agree(tmp_path, ck, *_mutate(ck, lambda strategy: next(draws)))
+
+
+@pytest.mark.parametrize("drawn", [["step", 0], ["step", 2**64 - 1], ["step field", 0], ["step field", 2**64 - 1]],
+                         ids=lambda drawn: " ".join(map(str, drawn)))
+def test_save_and_load_agree_on_the_step(tmp_path, drawn):
+    # any optimizer step count saves, loads back and re-saves; a step field other than it is refused
     ck = small_checkpoint()
     draws = iter(drawn)
     _assert_save_and_load_agree(tmp_path, ck, *_mutate(ck, lambda strategy: next(draws)))

@@ -523,6 +523,68 @@ def test_gradcheck_tolerance_must_be_positive_and_finite(capsys, monkeypatch, to
     assert captured.out == ""
 
 
+def test_a_non_finite_parameter_update_exits_4_at_the_step_that_makes_it(workdir, tmp_path, capsys):
+    # lr * update overflows float32; under error::RuntimeWarning a numpy warning would raise here
+    cfg = dataclasses.replace(tiny_config(), num_classes=3)
+    (tmp_path / "lr.txt").write_text(config_to_text(cfg, RunConfig(lr=1e308)))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(tmp_path / "lr.txt"), "--data", str(workdir / "easy.v2ds"),
+                 "--out", str(tmp_path / "p.v2ap"), "--steps", "1", "--batch-size", "16"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: non-finite update for parameter 'backbone.cls' at step 0\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "lr.txt"]
+
+
+def _unindexable(name: str, shape: tuple[int, int]) -> str:
+    return f"tensor {name!r} of shape {shape} is too large for an array"
+
+
+def _no_memory(cause: str) -> str:
+    return f"cannot allocate the parameters of this config: {cause}"
+
+
+_TOO_LARGE = [  # (command, model config field values, the error): each config's parameters cannot be held
+    pytest.param("pretrain", {"dim": 3 * 10**9}, _unindexable("backbone.layers.0.attn.wq", (3 * 10**9,) * 2),
+                 id="pretrain-dim-unindexable"),
+    pytest.param("pretrain", {"dim": 3 * 10**8}, _no_memory("Unable to allocate 35.8 GiB"),
+                 id="pretrain-dim-36GiB"),
+    pytest.param("gradcheck", {"dim": 3 * 10**9}, _unindexable("backbone.layers.0.attn.wq", (3 * 10**9,) * 2),
+                 id="gradcheck-dim-unindexable"),
+    pytest.param("gradcheck", {"dim": 3 * 10**8}, _no_memory("Unable to allocate 35.8 GiB"),
+                 id="gradcheck-dim-36GiB"),
+    pytest.param("tune", {"prompt_len": 2 * 10**9}, _no_memory("Unable to allocate 238. GiB"),
+                 id="tune-prompt_len-238GiB"),  # the domain prompts
+    pytest.param("pretrain", {"image_size": 4 * 10**15}, _unindexable("backbone.pos", (10**30, 16)),
+                 id="pretrain-image_size-unindexable"),
+    pytest.param("pretrain", {"depth": 10**8}, _no_memory("out of memory"),
+                 id="pretrain-depth-unlistable"),  # the name -> shape listing runs out first
+]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and /proc/self/statm are Linux's")
+@pytest.mark.parametrize("command, fields, error", _TOO_LARGE)
+def test_a_config_too_large_to_allocate_exits_2(workdir, tmp_path, command, fields, error):
+    # a child whose address space may grow by 1 GiB at most, so that no
+    # machine's overcommit lets the draw through
+    cfg = dataclasses.replace(tiny_config(), num_classes=3, **fields)
+    (tmp_path / "big.txt").write_text(config_to_text(cfg, RunConfig(batch_size=16, steps=1)))
+    argv = {"pretrain": ["--data", str(workdir / "easy.v2ds"), "--out", str(tmp_path / "o.v2ap")],
+            "tune": ["--data", str(workdir / "easy.v2ds"), "--out", str(tmp_path / "o.v2ap"),
+                     "--backbone-ckpt", str(workdir / "pre.v2ap"), "--method", "v2apt"],
+            "gradcheck": []}[command]
+    proc = _child(["-c", """
+import os, resource, sys
+from v2apt.cli import main
+size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+""", command, "--config", str(tmp_path / "big.txt"), *argv])
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {error}")
+    assert proc.stdout == "" and sorted(tmp_path.iterdir()) == [tmp_path / "big.txt"]
+
+
 def test_argparse_rejects_unknown_method(workdir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["tune", "--config", str(workdir / "cfg.txt"),

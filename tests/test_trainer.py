@@ -140,6 +140,26 @@ def test_non_finite_gradient_names_parameter_and_step(bad):
         np.testing.assert_array_equal(p.data, before[n])
 
 
+@pytest.mark.parametrize("run, grad, name", [
+    (RunConfig(lr=1e308), 1.0, "a"),  # lr times any update overflows float32
+    (RunConfig(), 1e30, "b"),  # g * g overflows: v is infinite, the parameter is not
+], ids=["lr", "second-moment"])
+def test_non_finite_update_names_parameter_and_step_and_moves_nothing(run, grad, name):
+    params = {n: Tensor(np.ones(2, dtype=np.float32), requires_grad=True) for n in ("a", "b")}
+    opt = TR.AdamW()
+    for p in params.values():
+        p.grad = np.ones(2, dtype=np.float32)
+    opt.step(params, RunConfig())
+    before, m, v = dict(params), dict(opt.m), dict(opt.v)
+    params["a"].grad = np.ones(2, dtype=np.float32)
+    params["b"].grad = np.array([0.0, grad], dtype=np.float32)
+    with pytest.raises(NumericError, match=rf"^non-finite update for parameter '{name}' at step 1$"):
+        opt.step(params, run)
+    # every update is checked before any state moves
+    assert opt.t == 1 and opt.m.keys() == opt.v.keys() == params.keys() == {"a", "b"}
+    assert all(params[n] is before[n] and opt.m[n] is m[n] and opt.v[n] is v[n] for n in params)
+
+
 def test_moments_accumulate_across_steps():
     with float64_mode():
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
@@ -285,6 +305,20 @@ def test_epoch_metrics_and_batch_addressing():
     i3 = tr._batch_at(3)[1].tolist()
     assert i0 == i0b
     assert i0 != i3 or tr.steps_per_epoch == 1
+
+
+def test_the_trainers_step_is_its_optimizers_step_count():
+    ds = tiny_dataset(per_class=8)
+    opt = TR.AdamW()
+    tr = TR.Trainer(tuned_model(), tiny_run(steps=6), ds, optimizer=opt)
+    assert tr.step == opt.t == 0
+    tr.train(until_step=2)
+    assert tr.step == opt.t == 2 and [m.step for m in tr.history] == [0, 1]
+    with pytest.raises(AttributeError):
+        tr.step = 0
+    # a second trainer on the same optimizer goes on from its step count
+    TR.Trainer(tr.model, tr.run, ds, optimizer=opt).train_step()
+    assert tr.step == opt.t == 3
 
 
 def test_batches_partition_each_epoch():
