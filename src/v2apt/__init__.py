@@ -74,7 +74,6 @@ from .rng import SeededStreams
 from .tensor import Tape, Tensor, float64_mode
 from .trainer import (
     AdamW,
-    LossBreakdown,
     StepMetrics,
     Trainer,
     evaluate,
@@ -95,7 +94,6 @@ __all__ = [
     "ForwardResult",
     "LatentDistribution",
     "LatentStats",
-    "LossBreakdown",
     "ModelConfig",
     "NumericError",
     "PRESETS",

@@ -166,14 +166,14 @@ def classify(cls_out: Tensor, params: Mapping[str, Tensor]) -> Tensor:
 
 
 def freeze_backbone(params: Params) -> frozenset[str]:
-    """Mark every backbone buffer non-trainable; returns the frozen name set.
+    """Replace every backbone tensor by a non-trainable one over the same
+    array, with no gradient; returns the frozen name set.
 
-    Idempotent: freezing twice yields the same mask and state.
+    Idempotent: freezing twice yields the same mask and values.
     """
     frozen = frozenset(name for name in params if name.startswith("backbone."))
     for name in frozen:
-        params[name].requires_grad = False
-        params[name].grad = None
+        params[name] = T.wrap(params[name].data, requires_grad=False)
     return frozen
 
 

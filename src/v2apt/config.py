@@ -79,28 +79,22 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         hold_field_types(self, ConfigError)
-        if self.image_size <= 0 or self.image_size % self.patch_size != 0:
+        for name in ("image_size", "patch_size", "in_channels", "depth", "dim", "heads",
+                     "mlp_ratio", "latent_dim", "vae_hidden"):  # every size, before any division
+            if (v := getattr(self, name)) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
+        if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.dim < 1 or self.dim % self.heads != 0:
+        if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.mlp_ratio < 1:
-            raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
         if self.prompt_len < 0 or not 0 <= self.prompt_inst <= self.prompt_len:
             raise ConfigError(
                 f"prompt split invalid: prompt_inst {self.prompt_inst} of prompt_len {self.prompt_len}"
             )
-        if self.latent_dim < 1:
-            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.vae_hidden < 1:
-            raise ConfigError(f"vae_hidden must be >= 1, got {self.vae_hidden}")
 
 
 @dataclass(frozen=True)

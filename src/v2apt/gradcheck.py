@@ -154,7 +154,6 @@ def full_model_check(cfg=None, seed: int = 0, tol: float = 1e-4) -> CheckReport:
         def build_loss() -> Tensor:
             # every evaluation replays the same latent draw from where g stands
             out = model.forward(images, rng=copy.deepcopy(g))
-            loss, _ = total_loss(out.logits, labels, out.kl, 1e-3)
-            return loss
+            return total_loss(out.logits, labels, out.kl, 1e-3)[0]
 
         return finite_diff_check(build_loss, model.trainables(), tol=tol)

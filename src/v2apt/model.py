@@ -111,6 +111,8 @@ def param_fault(cfg: ModelConfig, params: Mapping[str, Tensor | np.ndarray]) -> 
     which the constructor and every checkpoint apply. A model holds the
     backbone and head, plus no adapters or exactly the groups `adapter_params`
     draws, each tensor in the shape the config implies."""
+    if cfg.depth > len(params):  # every layer holds tensors; this bounds each listing below
+        return f"has {len(params)} tensor(s), too few for the {cfg.depth} layers of its config"
     adapters, expected = _adapter_shapes(cfg), B.param_shapes(cfg)
     if adapters.keys() & params.keys():
         expected.update(adapters)

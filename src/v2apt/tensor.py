@@ -20,7 +20,8 @@ else, so an intermediate's value is freed as soon as the forward code drops
 it unless an adjoint reads it. A primitive builds nodes and its adjoint only
 when a tape records it. Custom primitives keep the same rule (see
 `record_operation`). Tapes are per thread: a primitive records on the
-innermost tape its own thread holds open.
+innermost tape its own thread holds open. A tensor changes after it is built
+only in its gradient slot, so training or freezing a parameter replaces it.
 """
 
 from __future__ import annotations
@@ -78,11 +79,12 @@ class Node:
 class Tensor:
     """A dense array plus a gradient slot.
 
-    Tensors are immutable after construction except for `requires_grad` and
-    `grad`; operations return new tensors and record their adjoints on the
-    active tape whenever an input requires a gradient. The gradient lives on
-    the tensor's `node`, which is made only when a tape records the tensor or
-    a gradient is written, so a tape-free forward makes none.
+    Tensors are immutable after construction except for `grad`; whether one
+    requires a gradient is fixed when it is built. Operations return new
+    tensors and record their adjoints on the active tape whenever an input
+    requires a gradient. The gradient lives on the tensor's `node`, which is
+    made only when a tape records the tensor or a gradient is written, so a
+    tape-free forward makes none.
     """
 
     __slots__ = ("data", "_requires_grad", "_node")
@@ -95,12 +97,6 @@ class Tensor:
     @property
     def requires_grad(self) -> bool:
         return self._requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        self._requires_grad = bool(value)
-        if self._node is not None:
-            self._node.requires_grad = self._requires_grad
 
     @property
     def grad(self) -> np.ndarray | None:

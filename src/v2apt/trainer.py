@@ -9,7 +9,7 @@ any step replays exactly the batches and samples of an uninterrupted run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,29 +22,17 @@ from .rng import SeededStreams
 from .tensor import Tape, Tensor
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    task_ce: float
-    kl: float
-    beta: float
-    total: float
-
-
 def total_loss(
     logits: Tensor, labels: np.ndarray, kl: Tensor | None, beta: float
-) -> tuple[Tensor, LossBreakdown]:
-    """total = task_ce + beta * kl, on the tape; kl=None means no KL term at all."""
+) -> tuple[Tensor, float, float]:
+    """(task_ce + beta * kl on the tape, task_ce, kl); kl=None means no KL
+    term at all, and reads 0.0."""
     ce = T.cross_entropy_with_logits(logits, labels)
-    if kl is None:
-        total = ce
-        parts = LossBreakdown(task_ce=ce.item(), kl=0.0, beta=beta, total=ce.item())
-    else:
-        total = ce + kl * beta
-        ce_f, kl_f = ce.item(), kl.item()
-        parts = LossBreakdown(task_ce=ce_f, kl=kl_f, beta=beta, total=ce_f + beta * kl_f)
-    if not np.isfinite(parts.total) or not np.isfinite(parts.kl):
-        raise NumericError(f"non-finite loss: {parts}")
-    return total, parts
+    total = ce if kl is None else ce + kl * beta
+    ce_f, kl_f = ce.item(), 0.0 if kl is None else kl.item()
+    if not np.isfinite(ce_f + beta * kl_f) or not np.isfinite(kl_f):
+        raise NumericError(f"non-finite loss: task_ce={ce_f}, kl={kl_f}, beta={beta}")
+    return total, ce_f, kl_f
 
 
 class AdamW:
@@ -169,12 +157,12 @@ class Trainer:
         try:
             with Tape() as tape:
                 out = self.model.forward(images, rng=rng)
-                loss, parts = total_loss(out.logits, labels, out.kl, beta)
+                loss, task_ce, kl = total_loss(out.logits, labels, out.kl, beta)
                 tape.backward(loss)
         except NumericError as e:
             raise NumericError(f"aborting at step {step}: {e}") from e
         self.optimizer.step(self.model.params, self.run)
-        metrics = StepMetrics(step=step, task_ce=parts.task_ce, kl=parts.kl, beta=parts.beta)
+        metrics = StepMetrics(step=step, task_ce=task_ce, kl=kl, beta=beta)
         self.history.append(metrics)
         return metrics
 

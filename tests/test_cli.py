@@ -543,6 +543,17 @@ def _no_memory(cause: str) -> str:
     return f"cannot allocate the parameters of this config: {cause}"
 
 
+# runs `cli.main` on argv in a child whose address space may grow by 1 GiB at
+# most, so that no machine's overcommit lets a huge draw or listing through
+_MAIN_IN_1_GIB_MORE = """
+import os, resource, sys
+from v2apt.cli import main
+size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 _TOO_LARGE = [  # (command, model config field values, the error): each config's parameters cannot be held
     pytest.param("pretrain", {"dim": 3 * 10**9}, _unindexable("backbone.layers.0.attn.wq", (3 * 10**9,) * 2),
                  id="pretrain-dim-unindexable"),
@@ -564,25 +575,46 @@ _TOO_LARGE = [  # (command, model config field values, the error): each config's
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and /proc/self/statm are Linux's")
 @pytest.mark.parametrize("command, fields, error", _TOO_LARGE)
 def test_a_config_too_large_to_allocate_exits_2(workdir, tmp_path, command, fields, error):
-    # a child whose address space may grow by 1 GiB at most, so that no
-    # machine's overcommit lets the draw through
     cfg = dataclasses.replace(tiny_config(), num_classes=3, **fields)
     (tmp_path / "big.txt").write_text(config_to_text(cfg, RunConfig(batch_size=16, steps=1)))
     argv = {"pretrain": ["--data", str(workdir / "easy.v2ds"), "--out", str(tmp_path / "o.v2ap")],
             "tune": ["--data", str(workdir / "easy.v2ds"), "--out", str(tmp_path / "o.v2ap"),
                      "--backbone-ckpt", str(workdir / "pre.v2ap"), "--method", "v2apt"],
             "gradcheck": []}[command]
-    proc = _child(["-c", """
-import os, resource, sys
-from v2apt.cli import main
-size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))
-sys.exit(main(sys.argv[1:]))
-""", command, "--config", str(tmp_path / "big.txt"), *argv])
+    proc = _child(["-c", _MAIN_IN_1_GIB_MORE, command, "--config", str(tmp_path / "big.txt"), *argv])
     assert proc.returncode == 2, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"error: {error}")
     assert proc.stdout == "" and sorted(tmp_path.iterdir()) == [tmp_path / "big.txt"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and /proc/self/statm are Linux's")
+def test_a_checkpoint_whose_config_has_more_layers_than_tensors_exits_3(workdir, tmp_path):
+    # refused by its tensor count, before any name -> shape listing could run out of memory
+    ck, blob = tmp_path / "deep.v2ap", (workdir / "pre.v2ap").read_bytes()
+    ck.write_bytes(_with_config_text(blob, "depth = 2\n", "depth = 100000000\n"))
+    proc = _child(["-c", _MAIN_IN_1_GIB_MORE, "eval", "--ckpt", str(ck),
+                   "--data", str(workdir / "easy.v2ds")])
+    assert proc.returncode == 3, proc.stderr
+    count = len(load_checkpoint(workdir / "pre.v2ap").tensors)
+    assert proc.stderr.splitlines() == [
+        f"error: checkpoint has {count} tensor(s), too few for the 100000000 layers of its config"]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name, value", [("heads", 0), ("heads", -2),  # -2 divides dim 16
+                                         ("patch_size", 0), ("patch_size", -4)])  # 16 % -4 == 0
+def test_a_size_below_one_exits_with_one_error_line(workdir, tmp_path, capsys, name, value):
+    old, bad = f"{name} = {getattr(tiny_config(), name)}\n", f"{name} = {value}\n"
+    (tmp_path / "bad.txt").write_text((workdir / "cfg.txt").read_text().replace(old, bad))
+    (tmp_path / "bad.v2ap").write_bytes(_with_config_text((workdir / "pre.v2ap").read_bytes(), old, bad))
+    capsys.readouterr()
+    for argv, code in ((["gradcheck", "--config", str(tmp_path / "bad.txt")], 2),
+                       (["eval", "--ckpt", str(tmp_path / "bad.v2ap"),
+                         "--data", str(workdir / "easy.v2ds")], 3)):
+        assert main(argv) == code, argv
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and err.endswith(f"{name} must be >= 1, got {value}"), err
 
 
 def test_argparse_rejects_unknown_method(workdir, tmp_path):

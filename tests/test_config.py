@@ -101,6 +101,20 @@ def test_validation_catches_bad_geometry():
         RunConfig(lr=0.0)
 
 
+# every int field of ModelConfig is a size, at least 1, but these three
+_OTHER_FLOORS = ("num_classes", "prompt_len", "prompt_inst")
+_SIZE_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)
+                if f.type in (int, "int") and f.name not in _OTHER_FLOORS]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", _SIZE_FIELDS)
+def test_a_size_field_below_one_is_refused_by_name(name, value):
+    # a field added later is a size unless listed above, so it cannot be left out
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 1, got {value}$"):
+        config_from_text(f"{name} = {value}\n")
+
+
 @pytest.mark.parametrize("config, changes, message", [
     (ModelConfig(), {"depth": 0}, "depth must be >= 1, got 0"),
     (ModelConfig(), {"prompt_inst": 9}, "prompt split invalid: prompt_inst 9 of prompt_len 8"),

@@ -1,6 +1,7 @@
 """End-to-end model assembly tests: parity, determinism, gradient reach."""
 
 import contextlib
+import dataclasses
 import os
 import re
 import subprocess
@@ -411,6 +412,39 @@ def test_the_constructor_refuses_parameters_that_are_not_a_model_of_the_config(e
         PromptedClassifier(tiny_config(), params)
 
 
+def test_a_config_with_more_layers_than_tensors_is_refused_before_any_listing(monkeypatch):
+    # listing 10**8 layers' names and shapes would run out of memory first
+    def unlisted(cfg):
+        raise AssertionError("listed the shapes of a config its parameters cannot be a model of")
+
+    params = build().params
+    monkeypatch.setattr(B, "param_shapes", unlisted)
+    monkeypatch.setattr(M, "_adapter_shapes", unlisted)
+    message = f"model has {len(params)} tensor(s), too few for the 100000000 layers of its config"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PromptedClassifier(dataclasses.replace(tiny_config(), depth=10**8), params)
+
+
+def test_freeze_puts_a_frozen_tensor_over_the_same_array_in_place_of_each_backbone_tensor():
+    m = build()
+    before = dict(m.params)
+    for p in before.values():
+        p.grad = np.ones_like(p.data)
+    frozen = m.freeze()
+    assert frozen == m.frozen == {n for n in before if n.startswith("backbone.")}
+    for name, p in m.params.items():
+        if name in frozen:
+            assert p is not before[name] and p.data is before[name].data, name
+            assert not p.requires_grad and p.grad is None, name
+        else:
+            assert p is before[name], name
+    # the replaced tensors are untouched: still trainable, each with its gradient
+    assert all(p.requires_grad and np.array_equal(p.grad, np.ones_like(p.data)) for p in before.values())
+    digest = m.frozen_digest()
+    assert digest == B.frozen_digest(before, frozen)
+    assert m.freeze() == frozen and m.frozen_digest() == digest
+
+
 def test_a_model_holds_every_adapter_group_or_none():
     backbone = build(adapters=False).params
     assert PromptedClassifier(tiny_config(), dict(backbone)).active_budget == 0
@@ -566,7 +600,7 @@ def _tune_step(m, x, labels, meanwhile=lambda: None):
     with Tape() as tape:
         out = m.forward(x, rng=SeededStreams(0).generator("eps"))
         meanwhile()
-        loss, _ = total_loss(out.logits, labels, out.kl, 1e-3)
+        loss = total_loss(out.logits, labels, out.kl, 1e-3)[0]
         tape.backward(loss)
     return len(tape), {n: p.grad for n, p in m.trainables().items()}
 

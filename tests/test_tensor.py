@@ -44,6 +44,15 @@ def test_float64_mode_switches_and_restores():
     assert Tensor([1.0]).data.dtype == np.float32
 
 
+def test_requires_grad_is_fixed_when_a_tensor_is_built():
+    # freezing replaces a tensor; no flag changes under a node a tape holds
+    t = Tensor(np.ones(3), requires_grad=True)
+    assert t.node.requires_grad
+    with pytest.raises(AttributeError):
+        t.requires_grad = False
+    assert t.requires_grad and t.node.requires_grad
+
+
 # ---------------------------------------------------------------------------
 # elementwise and broadcasting
 
@@ -560,7 +569,7 @@ def test_a_default_tune_forward_frees_each_layer_context_and_residual(monkeypatc
     images = np.random.default_rng(0).random((64, 16, 16, 1)).astype(np.float32)
     with Tape() as tape:
         out = m.forward(images, rng=SeededStreams(0).generator("eps"))
-        loss, _ = total_loss(out.logits, np.zeros(64, dtype=np.int64), out.kl, 1e-3)
+        loss = total_loss(out.logits, np.zeros(64, dtype=np.int64), out.kl, 1e-3)[0]
         assert len(inputs) == 2 * cfg.depth + 1
         assert [r() for r in inputs] == [None] * len(inputs)
         tape.backward(loss)
@@ -614,19 +623,13 @@ def test_linear_matches_matmul_plus_bias():
 def test_linear_grads_all_trainable_and_frozen_weights(shape):
     with float64_mode():
         g = rng()
-        x = Tensor(g.standard_normal(shape), requires_grad=True)
-        w = Tensor(g.standard_normal((4, 5)), requires_grad=True)
-        b = Tensor(g.standard_normal(5), requires_grad=True)
+        arrays = {"x": g.standard_normal(shape), "w": g.standard_normal((4, 5)), "b": g.standard_normal(5)}
         probe = Tensor(g.standard_normal(shape[:-1] + (5,)))
-        check(lambda: (T.linear(x, w, b) * probe).sum(), {"x": x, "w": w, "b": b})
-        w.requires_grad = b.requires_grad = False
-        w.grad = b.grad = None
-        check(lambda: (T.linear(x, w, b) * probe).sum(), {"x": x})
-        _frozen_grads_stay_none((w, b))
-        x.requires_grad, w.requires_grad = False, True
-        x.grad = None
-        check(lambda: (T.linear(x, w, b) * probe).sum(), {"w": w})
-        _frozen_grads_stay_none((x, b))
+        for trainable in (("x", "w", "b"), ("x",), ("w",)):  # all, frozen weights, frozen x and b
+            ts = {n: Tensor(a, requires_grad=n in trainable) for n, a in arrays.items()}
+            check(lambda: (T.linear(ts["x"], ts["w"], ts["b"]) * probe).sum(),
+                  {n: t for n, t in ts.items() if n in trainable})
+            _frozen_grads_stay_none([t for n, t in ts.items() if n not in trainable])
 
 
 def test_linear_shape_errors():
@@ -639,20 +642,14 @@ def test_linear_shape_errors():
 def test_affine_layer_norm_grads_all_trainable_and_frozen_weights():
     with float64_mode():
         g = rng()
-        x = Tensor(g.standard_normal((2, 3, 6)) * 2 + 1, requires_grad=True)
-        gamma = Tensor(g.standard_normal(6), requires_grad=True)
-        beta = Tensor(g.standard_normal(6), requires_grad=True)
+        arrays = {"x": g.standard_normal((2, 3, 6)) * 2 + 1, "gamma": g.standard_normal(6),
+                  "beta": g.standard_normal(6)}
         probe = Tensor(g.standard_normal((2, 3, 6)))
-        loss = lambda: (T.layer_norm(x, gamma, beta) * probe).sum()  # noqa: E731
-        check(loss, {"x": x, "gamma": gamma, "beta": beta})
-        gamma.requires_grad = beta.requires_grad = False
-        gamma.grad = beta.grad = None
-        check(loss, {"x": x})
-        _frozen_grads_stay_none((gamma, beta))
-        x.requires_grad, gamma.requires_grad, beta.requires_grad = False, True, True
-        x.grad = None
-        check(loss, {"gamma": gamma, "beta": beta})
-        _frozen_grads_stay_none((x,))
+        for trainable in (("x", "gamma", "beta"), ("x",), ("gamma", "beta")):
+            ts = {n: Tensor(a, requires_grad=n in trainable) for n, a in arrays.items()}
+            check(lambda: (T.layer_norm(ts["x"], ts["gamma"], ts["beta"]) * probe).sum(),
+                  {n: t for n, t in ts.items() if n in trainable})
+            _frozen_grads_stay_none([t for n, t in ts.items() if n not in trainable])
 
 
 def test_affine_layer_norm_equals_norm_times_gamma_plus_beta():
@@ -693,17 +690,14 @@ def test_attention_matches_reference():
 def _check_attention_grads(queries):
     with float64_mode():
         g = rng()
-        q = Tensor(g.standard_normal((2, queries, 6)), requires_grad=True)
-        k, v = (Tensor(g.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(2))
+        arrays = {"q": g.standard_normal((2, queries, 6))}
+        arrays.update((n, g.standard_normal((2, 4, 6))) for n in ("k", "v"))
         probe = Tensor(g.standard_normal((2, queries, 6)))
-        loss = lambda: (T.attention(q, k, v, heads=2) * probe).sum()  # noqa: E731
-        check(loss, {"q": q, "k": k, "v": v})
-        for trainable in (q, k, v):
-            for t in (q, k, v):
-                t.requires_grad = t is trainable
-                t.grad = None
-            check(loss, {"only": trainable})
-            _frozen_grads_stay_none([t for t in (q, k, v) if t is not trainable])
+        for trainable in (("q", "k", "v"), ("q",), ("k",), ("v",)):  # all, then each alone
+            ts = {n: Tensor(a, requires_grad=n in trainable) for n, a in arrays.items()}
+            check(lambda: (T.attention(ts["q"], ts["k"], ts["v"], heads=2) * probe).sum(),
+                  {n: t for n, t in ts.items() if n in trainable})
+            _frozen_grads_stay_none([t for n, t in ts.items() if n not in trainable])
 
 
 def test_attention_grads_all_trainable_and_frozen_inputs():
@@ -788,19 +782,16 @@ def _mlp_inputs(rows, k=4, h=6, n=5, seed=7):
 
 def test_mlp_grads_all_trainable_and_each_input_frozen():
     with float64_mode():
-        inputs = _mlp_inputs(6)
-        inputs[0] = Tensor(inputs[0].data.reshape(2, 3, 4), requires_grad=True)
+        arrays = [t.data for t in _mlp_inputs(6)]
+        arrays[0] = arrays[0].reshape(2, 3, 4)
         names = ("x", "w1", "b1", "w2", "b2")
         probe = Tensor(rng().standard_normal((2, 3, 5)))
-        loss = lambda: (T.mlp(*inputs) * probe).sum()  # noqa: E731
-        check(loss, dict(zip(names, inputs)))
-        for frozen in (*inputs, inputs[1:]):  # each input alone, then every weight
-            frozen = frozen if isinstance(frozen, list) else [frozen]
-            for t in inputs:
-                t.requires_grad = not any(t is f for f in frozen)
-                t.grad = None
-            check(loss, {n: t for n, t in zip(names, inputs) if t.requires_grad})
-            _frozen_grads_stay_none(frozen)
+        # none frozen, each input alone, then every weight
+        for frozen in ((), *((n,) for n in names), names[1:]):
+            inputs = [Tensor(a, requires_grad=n not in frozen) for n, a in zip(names, arrays)]
+            check(lambda: (T.mlp(*inputs) * probe).sum(),
+                  {n: t for n, t in zip(names, inputs) if t.requires_grad})
+            _frozen_grads_stay_none([t for n, t in zip(names, inputs) if n in frozen])
 
 
 def _mlp_output_and_grads(fused, inputs, probe):

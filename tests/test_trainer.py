@@ -34,35 +34,34 @@ def tuned_model(cfg=None, seed=0) -> PromptedClassifier:
 def test_total_is_exactly_ce_plus_beta_kl():
     logits = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
     labels = np.array([0, 1, 2, 1])
-    kl = Tensor(0.5)
-    total, parts = TR.total_loss(logits, labels, kl, beta=0.001)
-    assert parts.total == parts.task_ce + 0.001 * parts.kl  # exact, not approx
-    assert parts.kl == 0.5
-    assert total.item() == pytest.approx(parts.total, rel=1e-6)
+    total, task_ce, kl = TR.total_loss(logits, labels, Tensor(0.5), beta=0.001)
+    assert kl == 0.5
+    assert total.item() == pytest.approx(task_ce + 0.001 * kl, rel=1e-6)
 
 
 def test_total_without_kl_term_is_task_ce_identity():
     logits = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
     labels = np.array([0, 1, 2, 1])
-    total, parts = TR.total_loss(logits, labels, None, beta=0.5)
-    assert parts.kl == 0.0
-    assert total.item() == parts.task_ce == parts.total
+    total, task_ce, kl = TR.total_loss(logits, labels, None, beta=0.5)
+    assert kl == 0.0
+    assert total.item() == task_ce
 
 
 def test_uniform_logits_loss_is_log_c():
     logits = Tensor(np.zeros((6, 10)))
     labels = np.arange(6)
-    _, parts = TR.total_loss(logits, labels, None, beta=0.0)
-    assert parts.task_ce == pytest.approx(np.log(10), rel=1e-6)
+    _, task_ce, _ = TR.total_loss(logits, labels, None, beta=0.0)
+    assert task_ce == pytest.approx(np.log(10), rel=1e-6)
 
 
 def test_stated_arithmetic_example():
     # task_ce 1.0, kl 0.5, beta 0.001 -> 1.0005
     with float64_mode():
         logits = Tensor(np.array([[0.0, np.log(np.e - 1.0)]]))  # ce at label 0 is exactly 1
-        total, parts = TR.total_loss(logits, np.array([0]), Tensor(0.5), beta=0.001)
-    assert parts.task_ce == pytest.approx(1.0, abs=1e-12)
-    assert parts.total == pytest.approx(1.0005, abs=1e-12)
+        total, task_ce, kl = TR.total_loss(logits, np.array([0]), Tensor(0.5), beta=0.001)
+    assert task_ce == pytest.approx(1.0, abs=1e-12)
+    assert task_ce + 0.001 * kl == pytest.approx(1.0005, abs=1e-12)
+    assert total.item() == pytest.approx(1.0005, abs=1e-12)
 
 
 def test_nonfinite_loss_raises_numeric_error():
