@@ -45,10 +45,11 @@ print("bit-identical loss sequences:",
 # process (here: new objects), and finish. The second half matches the
 # uninterrupted run step for step, because the loop addresses batches and
 # noise draws by step index rather than by mutable generator state. The step
-# index is the optimizer's step count, so the restored optimizer carries it:
-# the resumed trainer starts at step 20 with nothing else to set.
+# index is the optimizer's step count, so the checkpoint's optimizer carries
+# it: a trainer handed `ck.optimizer` starts at step 20 with nothing else to
+# set, and its steps return new optimizers, leaving the checkpoint's as it was.
 
-from v2apt import load_checkpoint, restore_model, restore_optimizer, save_checkpoint, snapshot
+from v2apt import load_checkpoint, restore_model, save_checkpoint, snapshot
 
 c = fresh_trainer()
 c.train(until_step=20)
@@ -60,7 +61,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     ck = load_checkpoint(mid)
     model, run_back = restore_model(ck)
-    resumed = Trainer(model, run_back, ds, optimizer=restore_optimizer(ck))
+    resumed = Trainer(model, run_back, ds, optimizer=ck.optimizer)
     resumed.train()
 
 tail_matches = all(

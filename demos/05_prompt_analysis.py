@@ -62,7 +62,7 @@ sim = model_similarity_map(model, target.images, index=0)
 print("map shape (prompts x patches):", sim.shape)
 print("mean similarity:", f"{mean_similarity(sim):.4f}")
 print("rounded map:")
-print(np.round(sim.values, 2))
+print(np.round(sim, 2))
 
 # %%
 # Maps export to CSV (9 significant digits) and binary PGM (the [-1, 1]
@@ -76,7 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
     csv_path, pgm_path = Path(tmp) / "map.csv", Path(tmp) / "map.pgm"
     export_map(sim, csv_path, "csv")
     export_map(sim, pgm_path, "pgm")
-    drift = np.abs(load_map_csv(csv_path).values - sim.values).max()
+    drift = np.abs(load_map_csv(csv_path) - sim).max()
     print(f"csv round-trip drift: {drift:.1e}")
     print("pgm header:", pgm_path.read_bytes()[:12])
 

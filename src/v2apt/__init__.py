@@ -15,7 +15,7 @@ Typical flow:
     ds = generate(preset("shift-A"), seed=0)
     pre = PromptedClassifier.init(default_config(), SeededStreams(0))
     Trainer(pre, RunConfig(), ds).train()            # pretrain the backbone
-    # to tune: a frozen copy of the backbone, the head, prompts (+ generator)
+    # to tune: the backbone, frozen, and the head (shared), prompts (+ generator)
     model = PromptedClassifier.from_pretrained(pre, default_config(), SeededStreams(0))
     Trainer(model, RunConfig(), generate(preset("shift-B"), seed=0)).train()
 
@@ -24,7 +24,6 @@ The same steps are scriptable through the `v2apt` command-line tool.
 
 from .analysis import (
     LatentStats,
-    SimMap,
     compare_mean_similarity,
     cosine_similarity_map,
     export_map,
@@ -37,7 +36,6 @@ from .checkpoint import (
     Checkpoint,
     load_checkpoint,
     restore_model,
-    restore_optimizer,
     save_checkpoint,
     snapshot,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "RunConfig",
     "SeededStreams",
     "ShapeError",
-    "SimMap",
     "StepMetrics",
     "Tape",
     "TaskSpec",
@@ -129,7 +126,6 @@ __all__ = [
     "model_similarity_map",
     "preset",
     "restore_model",
-    "restore_optimizer",
     "save_checkpoint",
     "save_dataset",
     "snapshot",

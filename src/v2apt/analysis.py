@@ -20,18 +20,9 @@ from .vae import kl_divergence
 _FORMATS = ("csv", "pgm")
 
 
-@dataclass
-class SimMap:
-    values: np.ndarray  # (k, num_patches), entries in [-1, 1]
-    layer: int = -1
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-def cosine_similarity_map(prompt_tokens: np.ndarray, patch_features: np.ndarray) -> SimMap:
-    """Entry (i, j) = <p_i, f_j> / (|p_i| |f_j|); zero-norm rows give 0."""
+def cosine_similarity_map(prompt_tokens: np.ndarray, patch_features: np.ndarray) -> np.ndarray:
+    """The (k, num_patches) float64 map: entry (i, j) = <p_i, f_j> / (|p_i| |f_j|),
+    in [-1, 1]; zero-norm rows give 0."""
     p = np.asarray(prompt_tokens, dtype=np.float64)
     f = np.asarray(patch_features, dtype=np.float64)
     if p.ndim != 2 or f.ndim != 2 or p.shape[1] != f.shape[1]:
@@ -43,44 +34,44 @@ def cosine_similarity_map(prompt_tokens: np.ndarray, patch_features: np.ndarray)
     nz = denom > 0.0
     values[nz] = (p @ f.T)[nz] / denom[nz]
     np.clip(values, -1.0, 1.0, out=values)  # shave float wobble just past +/-1
-    return SimMap(values=values)
+    return values
 
 
-def mean_similarity(sim: SimMap) -> float:
-    if sim.values.size == 0:
+def mean_similarity(sim: np.ndarray) -> float:
+    if sim.size == 0:
         raise ValidationError("similarity map is empty")
-    return float(sim.values.mean())
+    return float(sim.mean())
 
 
-def export_map(sim: SimMap, path, format: str) -> None:
+def export_map(sim: np.ndarray, path, format: str) -> None:
     if format not in _FORMATS:
         raise ValidationError(f"unknown export format {format!r}; one of {_FORMATS}")
-    k, n = sim.values.shape
+    k, n = sim.shape
     if format == "csv":
         lines = [",".join(str(j) for j in range(n))]
-        for row in sim.values:
+        for row in sim:
             lines.append(",".join(f"{x:.8e}" for x in row))
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("\n".join(lines) + "\n")
     else:
         # affine [-1, 1] -> [0, 255], round half up, so 0.0 maps to 128
-        scaled = (sim.values + 1.0) * 0.5 * 255.0
+        scaled = (sim + 1.0) * 0.5 * 255.0
         bytes_ = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
         header = f"P5\n{n} {k}\n255\n".encode("ascii")
         with open(path, "wb") as f:
             f.write(header + bytes_.tobytes())
 
 
-def load_map_csv(path) -> SimMap:
+def load_map_csv(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in f.read().splitlines() if ln]
     rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    return SimMap(values=np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 def model_similarity_map(
     model: PromptedClassifier, images: np.ndarray, index: int, layer: int | None = None
-) -> SimMap:
+) -> np.ndarray:
     """Map for one input image at one layer (default: the final layer)."""
     if model.active_budget == 0:
         raise ValidationError("model has no prompt tokens; nothing to map")
@@ -88,9 +79,7 @@ def model_similarity_map(
         raise ValidationError(f"image index {index} out of range [0, {images.shape[0]})")
     layer = model.cfg.depth - 1 if layer is None else layer
     prompts_in, patches_out = model.probe_layers(images[index:index + 1], (layer,))[layer]
-    sim = cosine_similarity_map(prompts_in[0], patches_out[0])
-    sim.layer = layer
-    return sim
+    return cosine_similarity_map(prompts_in[0], patches_out[0])
 
 
 @dataclass

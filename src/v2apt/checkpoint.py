@@ -47,7 +47,7 @@ class Checkpoint:
     run: RunConfig
     tensors: dict[str, np.ndarray]
     frozen: frozenset[str] = frozenset()
-    optimizer: AdamW | None = None  # a copy, never a live optimizer: see snapshot
+    optimizer: AdamW | None = None
 
 
 def _pack_name(out: bytearray, name: str) -> None:
@@ -229,8 +229,7 @@ def load_checkpoint(path) -> Checkpoint:
             name = r.name("moment", after=m)
             m[name] = r.array(f"first moment {name!r}")
             v[name] = r.array(f"second moment {name!r}")
-        optimizer = AdamW()
-        optimizer.t, optimizer.m, optimizer.v = t, m, v
+        optimizer = AdamW(t, m, v)
 
     cursors = [(r.name("rng cursor"), r.unpack("<Q", "rng cursor"))
                for _ in range(r.unpack("<I", "cursor count"))]
@@ -263,30 +262,20 @@ def load_checkpoint(path) -> Checkpoint:
 # model/trainer bridging
 
 
-def _copy_optimizer(o: AdamW) -> AdamW:
-    """`o` with its own moment dicts, so stepping one never changes the other.
-
-    The moment arrays are shared uncopied: AdamW.step replaces its moments
-    rather than writing into them.
-    """
-    opt = AdamW()
-    opt.t, opt.m, opt.v = o.t, dict(o.m), dict(o.v)
-    return opt
-
-
 def snapshot(model: PromptedClassifier, run: RunConfig, optimizer: AdamW | None = None) -> Checkpoint:
+    """The checkpoint of a run as it stands, sharing the model's arrays and the
+    optimizer's moments: neither is ever written into, so later steps of the
+    run leave it unchanged. Trainables that no step has touched yet get zero
+    moments, which is what their first step starts from."""
     opt = None
     if optimizer is not None:
-        opt = _copy_optimizer(optimizer)
-        # moments exist only for parameters touched by a step; fill the rest
-        for name, p in model.trainables().items():
-            if name not in opt.m:
-                opt.m[name] = np.zeros_like(p.data)
-                opt.v[name] = np.zeros_like(p.data)
+        o = optimizer
+        zeros = {n: np.zeros_like(p.data) for n, p in model.trainables().items() if n not in o.m}
+        opt = AdamW(o.t, {**zeros, **o.m}, {**zeros, **o.v})
     return Checkpoint(
         cfg=model.cfg,
         run=run,
-        tensors={n: p.data.copy() for n, p in model.params.items()},
+        tensors={n: p.data for n, p in model.params.items()},
         frozen=model.frozen,
         optimizer=opt,
     )
@@ -296,7 +285,3 @@ def restore_model(ck: Checkpoint) -> tuple[PromptedClassifier, RunConfig]:
     _check(ck)
     params = {n: Tensor(a, requires_grad=n not in ck.frozen) for n, a in ck.tensors.items()}
     return PromptedClassifier(ck.cfg, params), ck.run
-
-
-def restore_optimizer(ck: Checkpoint) -> AdamW | None:
-    return None if ck.optimizer is None else _copy_optimizer(ck.optimizer)

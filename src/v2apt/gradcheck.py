@@ -70,10 +70,10 @@ def finite_diff_check(
 
     `build_loss` must be a pure function of the current contents of `params`
     (plus constants); it is called repeatedly with single elements perturbed
-    in place by +/-eps and restored afterwards. The relative error for a
-    parameter is max|analytic - numeric| scaled by the larger of 1 and the
-    magnitude of either gradient, so near-zero gradients are compared
-    absolutely instead of blowing up the quotient.
+    in place by +/-eps, and each is restored afterwards, also when it raises.
+    The relative error for a parameter is max|analytic - numeric| scaled by
+    the larger of 1 and the magnitude of either gradient, so near-zero
+    gradients are compared absolutely instead of blowing up the quotient.
     """
     for name, p in params.items():
         if not isinstance(p, Tensor) or not p.requires_grad:
@@ -105,11 +105,13 @@ def finite_diff_check(
         nflat = numeric.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + eps
-            up = build_loss().item()
-            flat[i] = keep - eps
-            down = build_loss().item()
-            flat[i] = keep
+            try:
+                flat[i] = keep + eps
+                up = build_loss().item()
+                flat[i] = keep - eps
+                down = build_loss().item()
+            finally:
+                flat[i] = keep
             nflat[i] = (up - down) / (2.0 * eps)
         if not np.all(np.isfinite(numeric)):
             raise NumericError(f"parameter {name!r} produced a non-finite difference quotient")

@@ -147,9 +147,11 @@ class PromptedClassifier:
     def from_pretrained(
         cls, pre: "PromptedClassifier", cfg: ModelConfig, streams: SeededStreams
     ) -> "PromptedClassifier":
-        """Transfer setup: copies of the backbone, frozen, and of the head,
-        plus fresh adapters.
+        """Transfer setup: the backbone of `pre`, frozen, and its head, plus
+        fresh adapters.
 
+        The arrays are shared, not copied: none is ever written into, and a
+        step replaces the head's tensors, so training leaves `pre` as it was.
         Any adapters the source model carried are dropped; the new ones are
         drawn from `streams` so two transfers with the same seed match.
         """
@@ -161,7 +163,7 @@ class PromptedClassifier:
                     f"pretrained backbone disagrees on {name}: checkpoint has {have}, config wants {want}"
                 )
         params = {
-            n: Tensor(p.data.copy(), requires_grad=n.startswith("head."))
+            n: Tensor(p.data, requires_grad=n.startswith("head."))
             for n, p in pre.params.items()
             if n.startswith("backbone.") or n.startswith("head.")
         }

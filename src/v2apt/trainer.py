@@ -9,7 +9,7 @@ any step replays exactly the batches and samples of an uninterrupted run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,22 +35,23 @@ def total_loss(
     return total, ce_f, kl_f
 
 
+@dataclass(frozen=True, eq=False)
 class AdamW:
     """Decoupled-weight-decay Adam over the parameters that require a gradient.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta.
-    It holds only what it learns, the step count (the run's position, which
-    `Trainer.step` reads) and moment buffers keyed by name (so they serialize
-    into checkpoints); its settings come from the run config. A step checks
-    every update finite, then replaces parameters and moments with fresh arrays.
+    A value, like a tensor: it holds only what it learns, the step count (the
+    run's position, which `Trainer.step` reads) and moment buffers keyed by
+    name (so they serialize into checkpoints); its settings come from the run
+    config. A step checks every update finite, replaces the parameters with
+    fresh tensors and returns the next optimizer, leaving this one as it was.
     """
 
-    def __init__(self):
-        self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    t: int = 0
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self, params: dict[str, Tensor], run: RunConfig) -> None:
+    def step(self, params: dict[str, Tensor], run: RunConfig) -> AdamW:
         names = sorted(name for name, p in params.items() if p.requires_grad)
         for name, p in params.items():
             if not p.requires_grad and p.grad is not None:
@@ -65,7 +66,7 @@ class AdamW:
         b1, b2, lr = run.adam_beta1, run.adam_beta2, run.lr
         bc1 = 1.0 - b1 ** (self.t + 1)
         bc2 = 1.0 - b2 ** (self.t + 1)
-        updates = {}
+        new_m, new_v, new_p = {}, {}, {}
         with np.errstate(all="ignore"):  # a fault is caught below, before any state moves
             for name in names:
                 p = params[name]
@@ -80,11 +81,9 @@ class AdamW:
                 # a non-finite m makes `new` non-finite; an infinite v does not
                 if not (np.isfinite(new).all() and np.isfinite(v).all()):
                     raise NumericError(f"non-finite update for parameter {name!r} at step {self.t}")
-                updates[name] = m, v, new
-        self.t += 1
-        for name, (m, v, new) in updates.items():
-            self.m[name], self.v[name] = m, v
-            params[name] = T.wrap(new, requires_grad=True)
+                new_m[name], new_v[name], new_p[name] = m, v, T.wrap(new, requires_grad=True)
+        params.update(new_p)
+        return AdamW(self.t + 1, {**self.m, **new_m}, {**self.v, **new_v})
 
 
 def warmup_beta(step: int, run: RunConfig) -> float:
@@ -114,7 +113,8 @@ def evaluate(model: PromptedClassifier, ds: Dataset) -> float:
 
 
 class Trainer:
-    """Owns one model and one optimizer, whose step count is the loop's position."""
+    """Owns one model and the run's current optimizer, whose step count is the
+    loop's position; each step replaces the optimizer with the one it returns."""
 
     def __init__(
         self,
@@ -161,7 +161,7 @@ class Trainer:
                 tape.backward(loss)
         except NumericError as e:
             raise NumericError(f"aborting at step {step}: {e}") from e
-        self.optimizer.step(self.model.params, self.run)
+        self.optimizer = self.optimizer.step(self.model.params, self.run)
         metrics = StepMetrics(step=step, task_ce=task_ce, kl=kl, beta=beta)
         self.history.append(metrics)
         return metrics

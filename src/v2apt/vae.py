@@ -29,7 +29,8 @@ LOGVAR_HI = 10.0
 
 @dataclass
 class LatentDistribution:
-    """Diagonal Gaussian over the latent space; logvar is clamped on creation."""
+    """Diagonal Gaussian over the latent space; `encode` clamps its logvar to
+    [LOGVAR_LO, LOGVAR_HI], and this class stores what it is given."""
 
     mu: Tensor  # (..., z)
     logvar: Tensor  # (..., z), natural log of the variance

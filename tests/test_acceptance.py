@@ -27,7 +27,6 @@ from v2apt.backbone import init_backbone
 from v2apt.checkpoint import (
     load_checkpoint,
     restore_model,
-    restore_optimizer,
     save_checkpoint,
     snapshot,
 )
@@ -231,7 +230,7 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
     save_checkpoint(snapshot(m3, run, t3.optimizer), mid)
     ck = load_checkpoint(mid)
     m4, run4 = restore_model(ck)
-    t4 = Trainer(m4, run4, ds, optimizer=restore_optimizer(ck))
+    t4 = Trainer(m4, run4, ds, optimizer=ck.optimizer)
     t4.train()
     resumed_equal = all(
         a.task_ce == b.task_ce
@@ -267,13 +266,13 @@ def test_criterion_10_similarity_map_contract(transfer, tmp_path):
         model_similarity_map(transfer.v2apt, images, i, layer)
         for i in (0, 5, 11) for layer in (0, transfer.v2apt.cfg.depth - 1)
     ]
-    bounded = all(np.all(np.abs(m.values) <= 1.0) for m in maps)
+    bounded = all(np.all(np.abs(m) <= 1.0) for m in maps)
 
     rng = np.random.default_rng(10)
     prompts = rng.normal(size=(4, 8))
     feats = rng.normal(size=(6, 8))
-    base = cosine_similarity_map(prompts, feats).values
-    scaled = cosine_similarity_map(prompts * np.array([[3.0], [0.5], [10.0], [1.0]]), feats).values
+    base = cosine_similarity_map(prompts, feats)
+    scaled = cosine_similarity_map(prompts * np.array([[3.0], [0.5], [10.0], [1.0]]), feats)
     scale_invariant = np.allclose(base, scaled, atol=1e-12)
 
     stable = True

@@ -25,21 +25,21 @@ def test_identical_row_gives_one_orthogonal_gives_zero():
     p = np.array([[1.0, 0.0], [0.0, 2.0]])
     f = np.array([[2.0, 0.0], [0.0, -3.0]])
     sim = A.cosine_similarity_map(p, f)
-    assert sim.values[0, 0] == pytest.approx(1.0)
-    assert sim.values[0, 1] == pytest.approx(0.0)
-    assert sim.values[1, 0] == pytest.approx(0.0)
-    assert sim.values[1, 1] == pytest.approx(-1.0)
+    assert sim[0, 0] == pytest.approx(1.0)
+    assert sim[0, 1] == pytest.approx(0.0)
+    assert sim[1, 0] == pytest.approx(0.0)
+    assert sim[1, 1] == pytest.approx(-1.0)
 
 
 def test_zero_norm_rows_define_zero_entries():
     sim = A.cosine_similarity_map(np.zeros((2, 3)), np.ones((4, 3)))
-    np.testing.assert_array_equal(sim.values, 0.0)
+    np.testing.assert_array_equal(sim, 0.0)
 
 
 def test_entries_bounded():
     g = np.random.default_rng(0)
     sim = A.cosine_similarity_map(g.standard_normal((5, 7)), g.standard_normal((9, 7)))
-    assert np.all(np.abs(sim.values) <= 1.0)
+    assert np.all(np.abs(sim) <= 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -52,7 +52,7 @@ def test_row_scale_invariance_property(seed, scale):
     p2 = p.copy()
     p2[1] *= scale
     scaled = A.cosine_similarity_map(p2, f)
-    np.testing.assert_allclose(scaled.values, base.values, atol=1e-9)
+    np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 
 def test_width_mismatch_rejected():
@@ -61,26 +61,26 @@ def test_width_mismatch_rejected():
 
 
 def test_mean_similarity_values():
-    assert A.mean_similarity(A.SimMap(values=np.ones((2, 2)))) == 1.0
-    anti = A.SimMap(values=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert A.mean_similarity(np.ones((2, 2))) == 1.0
+    anti = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert A.mean_similarity(anti) == 0.0
 
 
 def test_csv_round_trip_and_determinism(tmp_path):
     g = np.random.default_rng(3)
-    sim = A.SimMap(values=np.clip(g.standard_normal((4, 6)) / 3, -1, 1))
+    sim = np.clip(g.standard_normal((4, 6)) / 3, -1, 1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     A.export_map(sim, p1, "csv")
     A.export_map(sim, p2, "csv")
     assert p1.read_bytes() == p2.read_bytes()
     back = A.load_map_csv(p1)
-    np.testing.assert_allclose(back.values, sim.values, atol=1e-8)
+    np.testing.assert_allclose(back, sim, atol=1e-8)
     header = p1.read_text().splitlines()[0]
     assert header == ",".join(str(j) for j in range(6))
 
 
 def test_pgm_format_and_size(tmp_path):
-    sim = A.SimMap(values=np.zeros((3, 5)))
+    sim = np.zeros((3, 5))
     p = tmp_path / "map.pgm"
     A.export_map(sim, p, "pgm")
     blob = p.read_bytes()
@@ -91,7 +91,7 @@ def test_pgm_format_and_size(tmp_path):
 
 
 def test_pgm_affine_endpoints(tmp_path):
-    sim = A.SimMap(values=np.array([[-1.0, 1.0, 0.5]]))
+    sim = np.array([[-1.0, 1.0, 0.5]])
     p = tmp_path / "ends.pgm"
     A.export_map(sim, p, "pgm")
     payload = p.read_bytes().split(b"255\n", 1)[1]
@@ -102,7 +102,7 @@ def test_pgm_affine_endpoints(tmp_path):
 
 def test_pgm_byte_stable(tmp_path):
     g = np.random.default_rng(1)
-    sim = A.SimMap(values=np.clip(g.standard_normal((4, 4)), -1, 1))
+    sim = np.clip(g.standard_normal((4, 4)), -1, 1)
     p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
     A.export_map(sim, p1, "pgm")
     A.export_map(sim, p2, "pgm")
@@ -111,7 +111,7 @@ def test_pgm_byte_stable(tmp_path):
 
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValidationError, match="format"):
-        A.export_map(A.SimMap(values=np.zeros((1, 1))), tmp_path / "x", "png")
+        A.export_map(np.zeros((1, 1)), tmp_path / "x", "png")
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +122,18 @@ def test_model_similarity_map_shapes_and_default_layer():
     m = built_model()
     imgs = np.random.default_rng(0).random((3, 16, 16, 1)).astype(np.float32)
     sim = A.model_similarity_map(m, imgs, index=1)
-    assert sim.shape == (m.cfg.prompt_len, m.cfg.num_patches)
-    assert sim.layer == m.cfg.depth - 1
-    assert np.all(np.abs(sim.values) <= 1.0)
+    assert sim.shape == (m.cfg.prompt_len, m.cfg.num_patches) and sim.dtype == np.float64
+    np.testing.assert_array_equal(sim, A.model_similarity_map(m, imgs, index=1, layer=m.cfg.depth - 1))
+    assert np.all(np.abs(sim) <= 1.0)
     sim0 = A.model_similarity_map(m, imgs, index=1, layer=0)
-    assert sim0.layer == 0
-    assert not np.array_equal(sim.values, sim0.values)
+    assert not np.array_equal(sim, sim0)
 
 
 def test_model_similarity_map_deterministic():
     m = built_model()
     imgs = np.random.default_rng(0).random((2, 16, 16, 1)).astype(np.float32)
-    a = A.model_similarity_map(m, imgs, 0).values
-    b = A.model_similarity_map(m, imgs, 0).values
+    a = A.model_similarity_map(m, imgs, 0)
+    b = A.model_similarity_map(m, imgs, 0)
     np.testing.assert_array_equal(a, b)
 
 

@@ -27,12 +27,11 @@ def small_checkpoint() -> C.Checkpoint:
     moments for the unfrozen tensors, at optimizer step 42."""
     model = tuned()
     g = np.random.default_rng(0)
-    opt = TR.AdamW()
-    opt.t = 42
+    m, v = {}, {}
     for name, p in model.trainables().items():
-        opt.m[name] = g.standard_normal(p.shape).astype(np.float32)
-        opt.v[name] = g.random(p.shape).astype(np.float32)
-    return C.snapshot(model, RunConfig(), opt)
+        m[name] = g.standard_normal(p.shape).astype(np.float32)
+        v[name] = g.random(p.shape).astype(np.float32)
+    return C.snapshot(model, RunConfig(), TR.AdamW(t=42, m=m, v=v))
 
 
 def assert_same_checkpoint(a: C.Checkpoint, b: C.Checkpoint) -> None:
@@ -334,6 +333,20 @@ def test_training_and_a_save_restore_keep_a_models_parameter_set(tmp_path, built
     assert _param_set(back) == want and param_fault(cfg, back.params) is None
 
 
+def test_a_snapshot_shares_the_run_yet_later_steps_leave_it_unchanged(tmp_path):
+    trainer = TR.Trainer(tuned(), run_cfg(steps=6), dataset())
+    trainer.train_step()
+    ck = C.snapshot(trainer.model, trainer.run, trainer.optimizer)
+    assert all(ck.tensors[n] is p.data for n, p in trainer.model.params.items())
+    assert all(ck.optimizer.m[n] is a for n, a in trainer.optimizer.m.items())
+    C.save_checkpoint(ck, tmp_path / "at_once.v2ap")
+    for _ in range(3):
+        trainer.train_step()
+    C.save_checkpoint(ck, tmp_path / "later.v2ap")
+    assert (tmp_path / "later.v2ap").read_bytes() == (tmp_path / "at_once.v2ap").read_bytes()
+    assert ck.optimizer.t == 1 and trainer.step == 4
+
+
 def test_interrupted_training_matches_uninterrupted(tmp_path):
     ds = dataset()
     run = run_cfg(steps=12)
@@ -349,7 +362,7 @@ def test_interrupted_training_matches_uninterrupted(tmp_path):
 
     ck = C.load_checkpoint(p)
     model2, run2 = C.restore_model(ck)
-    second = TR.Trainer(model2, run2, ds, optimizer=C.restore_optimizer(ck))
+    second = TR.Trainer(model2, run2, ds, optimizer=ck.optimizer)
     resumed = [m.task_ce for m in second.train()]
 
     assert [m.task_ce for m in first.history] + resumed == losses_straight
@@ -372,7 +385,7 @@ def test_resumed_checkpoint_saves_identically(tmp_path):
     C.save_checkpoint(C.snapshot(b1.model, run, b1.optimizer), pm)
     ck = C.load_checkpoint(pm)
     model2, run2 = C.restore_model(ck)
-    b2 = TR.Trainer(model2, run2, ds, optimizer=C.restore_optimizer(ck))
+    b2 = TR.Trainer(model2, run2, ds, optimizer=ck.optimizer)
     b2.train()
     pb = tmp_path / "resumed.v2ap"
     C.save_checkpoint(C.snapshot(b2.model, run2, b2.optimizer), pb)
@@ -380,23 +393,25 @@ def test_resumed_checkpoint_saves_identically(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_a_step_after_restore_optimizer_leaves_the_checkpoint_moments_unchanged(tmp_path):
-    # the restored optimizer shares the loaded arrays; AdamW.step must replace
-    # its moments, never write into them
+def test_a_step_resumed_from_ck_optimizer_leaves_the_checkpoint_moments_unchanged(tmp_path):
+    # the resumed trainer starts from the loaded optimizer itself; AdamW.step
+    # must return a new one and replace its moments, never write into them
     ds = dataset()
     first = TR.Trainer(tuned(), run_cfg(steps=4), ds)
     first.train_step()
     p = tmp_path / "one.v2ap"
     C.save_checkpoint(C.snapshot(first.model, first.run, first.optimizer), p)
     ck = C.load_checkpoint(p)
-    saved = {name: (m.copy(), ck.optimizer.v[name].copy()) for name, m in ck.optimizer.m.items()}
-    opt = C.restore_optimizer(ck)
+    loaded = ck.optimizer
+    saved = {name: (m.copy(), loaded.v[name].copy()) for name, m in loaded.m.items()}
     model, run = C.restore_model(ck)
-    TR.Trainer(model, run, ds, optimizer=opt).train_step()
-    assert opt.t == ck.optimizer.t + 1
-    assert saved.keys() == opt.m.keys()
+    resumed = TR.Trainer(model, run, ds, optimizer=ck.optimizer)
+    resumed.train_step()
+    opt = resumed.optimizer
+    assert ck.optimizer is loaded and opt.t == loaded.t + 1 == 2
+    assert saved.keys() == opt.m.keys() == loaded.m.keys()
     for name, (m, v) in saved.items():
-        assert np.array_equal(ck.optimizer.m[name], m) and np.array_equal(ck.optimizer.v[name], v)
+        assert np.array_equal(loaded.m[name], m) and np.array_equal(loaded.v[name], v)
         assert not np.array_equal(opt.m[name], m), name
 
 
@@ -567,7 +582,7 @@ def _mutate(ck: C.Checkpoint, draw):
         return (_save_then(lambda p: _write_fields(p, {"step": struct.pack("<Q", step)})),
                 f"step field {step} is not {o.t}, the step count of its optimizer")
     else:  # valid: any optimizer step the file's u64 holds; the step follows it
-        o.t = draw(st.integers(0, 2**64 - 1))
+        ck.optimizer = dataclasses.replace(o, t=draw(st.integers(0, 2**64 - 1)))
     return None, None
 
 

@@ -123,6 +123,26 @@ def test_nonfinite_gradient_names_parameter():
             finite_diff_check(lambda: (x * big).sum(), {"x": x})
 
 
+@pytest.mark.parametrize("raising_call", [2, 3], ids=["plus-eps", "minus-eps"])
+def test_a_raise_from_build_loss_leaves_every_parameter_as_it_was(raising_call):
+    # call 1 is the taped pass; calls 2 and 3 see x[0] perturbed by +eps and -eps
+    with float64_mode():
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        before = x.data.tobytes()
+        calls = []
+
+        def build():
+            calls.append(x.data.copy())
+            if len(calls) == raising_call:
+                raise errors.NumericError("loss went non-finite")
+            return (x * x).sum()
+
+        with pytest.raises(errors.NumericError, match="^loss went non-finite$"):
+            finite_diff_check(build, {"x": x})
+    assert calls[-1][0] != 1.0  # the raise came while x[0] was perturbed
+    assert x.data.tobytes() == before
+
+
 def test_nonscalar_loss_rejected():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(errors.ValidationError):

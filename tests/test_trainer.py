@@ -127,7 +127,7 @@ def test_non_finite_gradient_names_parameter_and_step(bad):
     opt, run = TR.AdamW(), RunConfig()
     params["a"].grad = np.ones(2, dtype=np.float32)
     params["b"].grad = np.ones(2, dtype=np.float32)
-    opt.step(params, run)
+    opt = opt.step(params, run)
     before = {n: p.data.copy() for n, p in params.items()}
     params["a"].grad = np.ones(2, dtype=np.float32)
     params["b"].grad = np.array([0.0, bad], dtype=np.float32)
@@ -148,7 +148,7 @@ def test_non_finite_update_names_parameter_and_step_and_moves_nothing(run, grad,
     opt = TR.AdamW()
     for p in params.values():
         p.grad = np.ones(2, dtype=np.float32)
-    opt.step(params, RunConfig())
+    opt = opt.step(params, RunConfig())
     before, m, v = dict(params), dict(opt.m), dict(opt.v)
     params["a"].grad = np.ones(2, dtype=np.float32)
     params["b"].grad = np.array([0.0, grad], dtype=np.float32)
@@ -165,7 +165,7 @@ def test_moments_accumulate_across_steps():
         opt, run = TR.AdamW(), RunConfig(lr=1e-3, weight_decay=0.0)
         for g in (1.0, 1.0):
             params["w"].grad = np.array([g])
-            opt.step(params, run)
+            opt = opt.step(params, run)
         assert opt.t == 2
         assert opt.m["w"][0] == pytest.approx(0.9 * 0.1 + 0.1 * 1.0, rel=1e-12)
 
@@ -174,8 +174,7 @@ def test_step_updates_exactly_the_parameters_that_require_a_gradient():
     frozen = Tensor(np.ones(2))
     params = {"a": Tensor(np.ones(2), requires_grad=True), "frozen": frozen}
     params["a"].grad = np.ones(2)
-    opt = TR.AdamW()
-    opt.step(params, RunConfig())
+    opt = TR.AdamW().step(params, RunConfig())
     assert opt.m.keys() == opt.v.keys() == {"a"}
     assert params["frozen"] is frozen
     assert (params["a"].data < 1.0).all()
@@ -188,11 +187,28 @@ def test_first_step_equals_a_step_from_zero_moments():
     for start in ({}, {"w": np.zeros(5, dtype=np.float32)}):
         params = {"w": Tensor(np.full(5, 0.5, dtype=np.float32), requires_grad=True)}
         params["w"].grad = g.copy()
-        opt = TR.AdamW()
-        opt.m, opt.v = dict(start), dict(start)
-        opt.step(params, RunConfig())
+        opt = TR.AdamW(m=dict(start), v=dict(start)).step(params, RunConfig())
         results.append([a.tobytes() for a in (params["w"].data, opt.m["w"], opt.v["w"])])
     assert results[0] == results[1]
+
+
+def test_a_step_returns_the_next_optimizer_and_leaves_this_one_as_it_was():
+    params = {n: Tensor(np.ones(2, dtype=np.float32), requires_grad=True) for n in ("a", "b")}
+    for p in params.values():
+        p.grad = np.ones(2, dtype=np.float32)
+    first = TR.AdamW().step(params, RunConfig())
+    m, v = first.m, first.v
+    arrays = {n: (m[n].tobytes(), v[n].tobytes()) for n in m}
+    params["a"].grad = params["b"].grad = np.full(2, 3.0, dtype=np.float32)
+    second = first.step(params, RunConfig())
+    assert second is not first and (first.t, second.t) == (1, 2)
+    assert first.m is m and first.v is v and m.keys() == v.keys() == {"a", "b"}
+    assert all((m[n].tobytes(), v[n].tobytes()) == arrays[n] for n in arrays)
+    assert all(second.m[n] is not m[n] and second.v[n] is not v[n] for n in arrays)
+    with pytest.raises(AttributeError):
+        first.t = 0
+    with pytest.raises(AttributeError):
+        first.m = {}
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +326,32 @@ def test_the_trainers_step_is_its_optimizers_step_count():
     ds = tiny_dataset(per_class=8)
     opt = TR.AdamW()
     tr = TR.Trainer(tuned_model(), tiny_run(steps=6), ds, optimizer=opt)
-    assert tr.step == opt.t == 0
+    assert tr.step == tr.optimizer.t == 0
     tr.train(until_step=2)
-    assert tr.step == opt.t == 2 and [m.step for m in tr.history] == [0, 1]
+    assert tr.step == tr.optimizer.t == 2 and [m.step for m in tr.history] == [0, 1]
     with pytest.raises(AttributeError):
         tr.step = 0
-    # a second trainer on the same optimizer goes on from its step count
-    TR.Trainer(tr.model, tr.run, ds, optimizer=opt).train_step()
-    assert tr.step == opt.t == 3
+    # the optimizer handed in is a value: stepping moved the trainer on, not it
+    assert opt.t == 0
+    # a second trainer on the first one's optimizer goes on from its step count
+    second = TR.Trainer(tr.model, tr.run, ds, optimizer=tr.optimizer)
+    assert [second.train_step().step, second.step] == [2, 3]
+    assert tr.step == tr.optimizer.t == 2
+
+
+def test_training_a_transfer_leaves_its_source_model_as_it_was():
+    # from_pretrained shares the source's arrays; a step replaces tensors and
+    # writes into none, so the source's frozen backbone and head keep their bytes
+    cfg = tiny_config()
+    pre = PromptedClassifier.init(cfg, SeededStreams(0))
+    pre.freeze()
+    digest, head = pre.frozen_digest(), {n: pre.params[n].data.tobytes() for n in ("head.w", "head.b")}
+    model = PromptedClassifier.from_pretrained(pre, cfg, SeededStreams(1))
+    assert all(model.params[n].data is p.data for n, p in pre.params.items())
+    TR.Trainer(model, tiny_run(steps=3), tiny_dataset(per_class=8)).train()
+    assert model.params["head.w"].data.tobytes() != head["head.w"]
+    assert pre.frozen_digest() == model.frozen_digest() == digest
+    assert {n: pre.params[n].data.tobytes() for n in head} == head
 
 
 def test_batches_partition_each_epoch():
