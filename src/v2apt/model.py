@@ -301,7 +301,8 @@ class PromptedClassifier:
         return probes
 
     def predict(self, images: np.ndarray) -> np.ndarray:
-        """Eval-mode class predictions; ties resolve to the lowest index."""
+        """Eval-mode class predictions; ties resolve to the lowest index. A partial
+        last chunk may differ in low bits from a full one (README, "Chunked predict")."""
         out = []
         for lo in range(0, images.shape[0], EVAL_CHUNK):
             logits = self.forward(images[lo:lo + EVAL_CHUNK]).logits.data

@@ -628,6 +628,36 @@ def test_a_tune_step_records_nothing_of_a_predict_on_another_thread():
     assert len(preds) == 1 and np.array_equal(preds[0], want_preds)
 
 
+def test_split_forwards_on_two_threads_at_once_give_the_sequential_bits(monkeypatch, blas):
+    # the two forwards toggle OpenBLAS's one process-wide thread count: each
+    # may find it at one thread and run whole, or run its split at two BLAS
+    # threads, yet its values are the sequential path's, and the count ends
+    # where it began
+    get_threads, _ = blas
+    m = _default_model("v2apt")
+    batches = [images(256, seed=seed) for seed in (1, 2)]
+    with monkeypatch.context() as sequential:
+        sequential.setattr(M, "_blas_threads", lambda: None)
+        want = [(m.forward(x).logits.data, m.predict(x)) for x in batches]
+    start, got = threading.Barrier(2), {}
+
+    def run(i):
+        start.wait(timeout=60)
+        got[i] = [(m.forward(batches[i]).logits.data, m.predict(batches[i])) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert sorted(got) == [0, 1]
+    for i in range(2):
+        for logits, preds in got[i]:
+            assert np.array_equal(logits, want[i][0]) and np.array_equal(preds, want[i][1]), i
+    assert get_threads() == 2
+
+
 def test_a_split_forward_restores_the_blas_threads_also_when_the_worker_raises(monkeypatch, blas):
     get_threads, _ = blas
     m, x = _default_model("v2apt"), images(300)
