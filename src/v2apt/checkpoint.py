@@ -1,10 +1,10 @@
-"""Bit-exact checkpoint container.
+"""Bit-exact checkpoints.
 
-Little-endian layout: magic "V2AP", version, the canonical config text with
-its own CRC32, sorted named tensor records (name, dtype tag, rank, extents,
-raw bytes), the freeze-mask name list, optimizer settings and moment buffers,
-named RNG cursors, the step counter, and a CRC32 footer over every preceding
-byte. A `Checkpoint` holds the configs, which a save writes as text and a
+A `.v2ap` is `data.seal`'s container with magic "V2AP". Its little-endian
+payload: the canonical config text with its own CRC32, sorted named tensor
+records (name, dtype tag, rank, extents, raw bytes), the freeze-mask name
+list, optimizer settings and moment buffers, named RNG cursors and the step
+counter. A `Checkpoint` holds the configs, which a save writes as text and a
 load parses once, refusing text that is not canonical; a load refuses name
 sections that are not strictly ascending too, so save -> load -> save
 reproduces an accepted file byte for byte. A save writes the step and the
@@ -27,6 +27,7 @@ from typing import Reversible
 import numpy as np
 
 from .config import ModelConfig, RunConfig, config_from_text, config_to_text
+from .data import Reader, seal, unseal
 from .errors import ConfigError, FormatError
 from .model import PromptedClassifier, param_fault
 from .tensor import Tensor
@@ -104,8 +105,6 @@ def _check(ck: Checkpoint) -> None:
 def save_checkpoint(ck: Checkpoint, path) -> None:
     _check(ck)
     out = bytearray()
-    out += CKPT_MAGIC
-    out += struct.pack("<I", CKPT_VERSION)
     text = config_to_text(ck.cfg, ck.run).encode("utf-8")
     out += struct.pack("<I", len(text))
     out += text
@@ -139,73 +138,32 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     out += struct.pack("<Q", step)
 
     out += struct.pack("<Q", step)
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    seal(path, CKPT_MAGIC, CKPT_VERSION, out)
 
 
-class _Reader:
-    """Cursor over a memoryview of the file: `take` returns views, not copies."""
+def _name(r: Reader, what: str, after: Reversible[str] = ()) -> str:
+    """The next name; in a sorted section it must follow the last of `after`,
+    the names read before it, as a save writes them."""
+    name = r.text(r.unpack("<H", f"{what} name length"), f"{what} name")
+    if after and name <= (last := next(reversed(after))):
+        raise FormatError(f"{what} names are not strictly ascending: {name!r} after {last!r}")
+    return name
 
-    def __init__(self, blob: memoryview):
-        self.blob = blob
-        self.at = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.at + n > len(self.blob):
-            raise FormatError(f"truncated file while reading {what}")
-        chunk = self.blob[self.at:self.at + n]
-        self.at += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        vals = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-        return vals[0] if len(vals) == 1 else vals
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return str(self.take(n, what), "utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{what} is not UTF-8 (byte {e.start} of {n})") from None
-
-    def name(self, what: str, after: Reversible[str] = ()) -> str:
-        """The next name; in a sorted section it must follow the last of `after`,
-        the names read before it, as a save writes them."""
-        n = self.unpack("<H", f"{what} name length")
-        name = self.text(n, f"{what} name")
-        if after and name <= (last := next(reversed(after))):
-            raise FormatError(f"{what} names are not strictly ascending: {name!r} after {last!r}")
-        return name
-
-    def array(self, what: str) -> np.ndarray:
-        tag, rank = self.unpack("<BB", f"{what} dtype/rank")
-        if tag not in _TAG_DTYPES:
-            raise FormatError(f"unknown dtype tag {tag} in {what}")
-        shape = struct.unpack(f"<{rank}I", self.take(4 * rank, f"{what} extents"))
-        dt = _TAG_DTYPES[tag]
-        arr = np.frombuffer(self.take(math.prod(shape) * dt.itemsize, f"{what} data"), dtype=dt)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"non-finite value in {what}")
-        return arr.reshape(shape).copy()  # the one copy, off the file's buffer
+def _array(r: Reader, what: str) -> np.ndarray:
+    tag, rank = r.unpack("<BB", f"{what} dtype/rank")
+    if tag not in _TAG_DTYPES:
+        raise FormatError(f"unknown dtype tag {tag} in {what}")
+    shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"{what} extents"))
+    dt = _TAG_DTYPES[tag]
+    arr = np.frombuffer(r.take(math.prod(shape) * dt.itemsize, f"{what} data"), dtype=dt)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"non-finite value in {what}")
+    return arr.reshape(shape).copy()  # the one copy, off the file's buffer
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12:
-        raise FormatError("truncated file: too short for header")
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    footer = struct.unpack("<I", blob[-4:])[0]
-    body = memoryview(blob)[:-4]
-    if zlib.crc32(body) != footer:
-        raise FormatError("checksum mismatch in footer")
-
-    r = _Reader(body)
-    r.at = 8
+    r = unseal(path, CKPT_MAGIC, CKPT_VERSION)
     text_len = r.unpack("<I", "config length")
     text = r.text(text_len, "config text")
     if r.unpack("<I", "config hash") != zlib.crc32(text.encode("utf-8")):
@@ -213,12 +171,12 @@ def load_checkpoint(path) -> Checkpoint:
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("<I", "tensor count")):
-        name = r.name("tensor", after=tensors)
-        tensors[name] = r.array(f"tensor {name!r}")
+        name = _name(r, "tensor", after=tensors)
+        tensors[name] = _array(r, f"tensor {name!r}")
 
     frozen: list[str] = []
     for _ in range(r.unpack("<I", "freeze count")):
-        frozen.append(r.name("freeze mask", after=frozen))
+        frozen.append(_name(r, "freeze mask", after=frozen))
 
     optimizer = raw = None
     if r.unpack("<B", "optimizer flag"):
@@ -226,17 +184,16 @@ def load_checkpoint(path) -> Checkpoint:
         t = r.unpack("<Q", "optimizer step")
         m, v = {}, {}
         for _ in range(r.unpack("<I", "moment count")):
-            name = r.name("moment", after=m)
-            m[name] = r.array(f"first moment {name!r}")
-            v[name] = r.array(f"second moment {name!r}")
+            name = _name(r, "moment", after=m)
+            m[name] = _array(r, f"first moment {name!r}")
+            v[name] = _array(r, f"second moment {name!r}")
         optimizer = AdamW(t, m, v)
 
-    cursors = [(r.name("rng cursor"), r.unpack("<Q", "rng cursor"))
+    cursors = [(_name(r, "rng cursor"), r.unpack("<Q", "rng cursor"))
                for _ in range(r.unpack("<I", "cursor count"))]
 
     step = r.unpack("<Q", "step")
-    if r.at != len(r.blob):
-        raise FormatError(f"{len(r.blob) - r.at} trailing byte(s) after step field")
+    r.end("step field")
     if step != (want := 0 if optimizer is None else optimizer.t):
         raise FormatError(f"step field {step} is not {want}, the step count of "
                           + ("its optimizer" if optimizer else "a checkpoint without moments"))

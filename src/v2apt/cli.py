@@ -30,6 +30,9 @@ from .rng import SeededStreams
 from .trainer import Trainer, evaluate
 
 
+_METRICS_SUFFIX = ".metrics.jsonl"  # a run's metrics go to <out> plus this
+
+
 def _load_config(path: str | None) -> tuple[ModelConfig, RunConfig]:
     if path is None:
         return default_config(), RunConfig()
@@ -60,13 +63,14 @@ def _load_data(path: str, cfg: ModelConfig) -> Dataset:
 
 
 def _check_out(out: str) -> None:
-    """Fail before training, not after it, when `out` is a directory or its
-    directory is missing."""
+    """Fail before training, not after it, when `out` or its metrics file is a
+    directory or their directory is missing."""
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"--out directory {parent} does not exist")
-    if os.path.isdir(out):
-        raise IsADirectoryError(f"--out {out} is a directory")
+    for path in (out, out + _METRICS_SUFFIX):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"--out {path} is a directory")
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -83,7 +87,7 @@ def _train_and_save(model: PromptedClassifier, run: RunConfig, train_ds: Dataset
     trainer = Trainer(model, run, train_ds)
     acc = trainer.train(eval_dataset=eval_ds)[-1].accuracy
     save_checkpoint(snapshot(model, run, trainer.optimizer), out)
-    trainer.write_metrics(out + ".metrics.jsonl")
+    trainer.write_metrics(out + _METRICS_SUFFIX)
     return trainer.step, acc
 
 

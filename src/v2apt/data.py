@@ -6,9 +6,11 @@ set; domain shift is parameterized by brightness offset, texture frequency,
 and occlusion rate, so a model pretrained on the source rendering can be
 adapted to a shifted rendering of the same classes.
 
-Files use a little-endian container: magic "V2DS", version, the five extents
-B/H/W/C_in/C plus the generator seed as u32, raw float32 pixels, u32 labels,
-and a CRC32 footer over everything before it.
+`.v2ds` and `.v2ap` files share one little-endian container, written by
+`seal` and opened by `unseal`: a 4-byte magic, a u32 version, the payload and
+a CRC32 footer over every byte before it. A `.v2ds` payload is the five
+extents B/H/W/C_in/C plus the generator seed as u32, raw float32 pixels and
+u32 labels.
 """
 
 from __future__ import annotations
@@ -198,43 +200,77 @@ def preset(name: str) -> TaskSpec:
         raise ValidationError(f"unknown preset {name!r}; valid presets: {', '.join(sorted(PRESETS))}") from None
 
 
+def seal(path, magic: bytes, version: int, *payload) -> None:
+    """Write the container: `magic`, u32 `version`, each payload buffer as it
+    is, and a CRC32 footer over every byte before it."""
+    parts = (magic, struct.pack("<I", version), *payload)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    with open(path, "wb") as f:
+        f.writelines(parts)
+        f.write(struct.pack("<I", crc))
+
+
+class Reader:
+    """Bounded cursor over a container's bytes: `take` returns views, not copies."""
+
+    def __init__(self, blob: memoryview):
+        self.blob = blob
+        self.at = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.at + n > len(self.blob):
+            raise FormatError(f"truncated file while reading {what}")
+        chunk = self.blob[self.at:self.at + n]
+        self.at += n
+        return chunk
+
+    def unpack(self, fmt: str, what: str):
+        vals = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        return vals[0] if len(vals) == 1 else vals
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{what} is not UTF-8 (byte {e.start} of {n})") from None
+
+    def end(self, last: str) -> None:
+        """Refuse bytes between the last field, `last`, and the footer."""
+        if self.at != len(self.blob):
+            raise FormatError(f"{len(self.blob) - self.at} trailing byte(s) after {last}")
+
+
+def unseal(path, magic: bytes, version: int) -> Reader:
+    """A reader over the payload of the container at `path`, once its length,
+    magic, version and CRC32 footer have been checked."""
+    with open(path, "rb") as f:
+        blob = memoryview(f.read())
+    r = Reader(blob[:-4])
+    if (found := r.take(4, "magic")) != magic:
+        raise FormatError(f"bad magic {bytes(found)!r}, expected {magic!r}")
+    if (found := r.unpack("<I", "version")) != version:
+        raise FormatError(f"unsupported version {found}")
+    if zlib.crc32(r.blob) != struct.unpack("<I", blob[-4:])[0]:
+        raise FormatError("checksum mismatch in footer")
+    return r
+
+
 def save_dataset(ds: Dataset, path) -> None:
     ds.validate()
-    b, h, w, c_in = ds.images.shape
-    payload = bytearray()
-    payload += DATA_MAGIC
-    payload += struct.pack("<IIIIIII", DATA_VERSION, b, h, w, c_in, ds.num_classes, ds.seed)
-    payload += np.ascontiguousarray(ds.images, dtype="<f4").tobytes()
-    payload += np.ascontiguousarray(ds.labels, dtype="<u4").tobytes()
-    payload += struct.pack("<I", zlib.crc32(bytes(payload)))
-    with open(path, "wb") as f:
-        f.write(bytes(payload))
+    header = struct.pack("<6I", *ds.images.shape, ds.num_classes, ds.seed)
+    seal(path, DATA_MAGIC, DATA_VERSION, header, np.ascontiguousarray(ds.images, dtype="<f4"),
+         np.ascontiguousarray(ds.labels, dtype="<u4"))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 36:
-        raise FormatError("truncated file: shorter than header + footer")
-    if blob[:4] != DATA_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {DATA_MAGIC!r}")
-    if zlib.crc32(blob[:-4]) != struct.unpack("<I", blob[-4:])[0]:
-        raise FormatError("checksum mismatch")
-    version, b, h, w, c_in, c, seed = struct.unpack("<IIIIIII", blob[4:32])
-    if version != DATA_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    pix_bytes = b * h * w * c_in * 4
-    expected = 32 + pix_bytes + b * 4 + 4
-    if len(blob) != expected:
-        raise FormatError(f"truncated file: {len(blob)} bytes, header implies {expected}")
-    images = np.frombuffer(blob, dtype="<f4", count=b * h * w * c_in, offset=32)
-    labels = np.frombuffer(blob, dtype="<u4", count=b, offset=32 + pix_bytes)
-    ds = Dataset(
-        images.reshape(b, h, w, c_in).copy(),
-        labels.astype(np.int64),
-        num_classes=c,
-        seed=seed,
-    )
+    r = unseal(path, DATA_MAGIC, DATA_VERSION)
+    b, h, w, c_in, c, seed = r.unpack("<6I", "header")
+    images = np.frombuffer(r.take(4 * b * h * w * c_in, "pixels"), dtype="<f4")
+    labels = np.frombuffer(r.take(4 * b, "labels"), dtype="<u4")
+    r.end("labels")
+    ds = Dataset(images.reshape(b, h, w, c_in).copy(), labels.astype(np.int64), c, seed)
     try:
         return ds.validate()
     except ValidationError as e:

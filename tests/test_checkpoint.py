@@ -1,6 +1,7 @@
 """Checkpoint format: byte-exact round trips, fault injection, exact resume."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import struct
@@ -65,15 +66,15 @@ def _reseal(body: bytes) -> bytes:
 
 def _checkpoint_fields(path) -> list[tuple[int, int, str]]:
     """(offset, length, label) of every field of a .v2ap before its footer."""
-    fields = [(0, 4, "magic"), (4, 4, "version")]  # checked before the reader starts
-    take = C._Reader.take
+    fields = []
+    take = D.Reader.take
 
     def recording(self, n, what):
         fields.append((self.at, n, what))
         return take(self, n, what)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C._Reader, "take", recording)
+        mp.setattr(D.Reader, "take", recording)
         C.load_checkpoint(path)
     return fields
 
@@ -131,6 +132,26 @@ def test_save_load_save_is_byte_identical(tmp_path):
     back = C.load_checkpoint(p1)
     C.save_checkpoint(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_both_containers_keep_their_golden_bytes(tmp_path):
+    # built from fixed arrays and seeded draws only: no rendering, no training
+    images = (np.arange(2 * 3 * 2 * 1, dtype=np.float32) / 16).reshape(2, 3, 2, 1)
+    D.save_dataset(D.Dataset(images, np.array([1, 0]), num_classes=2, seed=9), tmp_path / "g.v2ds")
+    model = PromptedClassifier.init(tiny_config(), SeededStreams(0))
+    C.save_checkpoint(C.snapshot(model, RunConfig()), tmp_path / "bare.v2ap")
+    ramps = {n: np.arange(p.data.size, dtype=p.dtype).reshape(p.shape) / p.data.size
+             for n, p in model.trainables().items()}
+    squares = {n: a * a for n, a in ramps.items()}
+    C.save_checkpoint(C.snapshot(model, RunConfig(), TR.AdamW(3, ramps, squares)),
+                      tmp_path / "moments.v2ap")
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("g.v2ds", "bare.v2ap", "moments.v2ap")}
+    assert digests == {
+        "g.v2ds": "9019757e307079a2b0b6fa46101d2dacc3f63e26231ed9b2dec799db1fb97648",
+        "bare.v2ap": "058aed6373db07bed4091fce262c8827714c4cda8f4b28712ea5a3b90cf49c10",
+        "moments.v2ap": "4a7559ac45fcbffc65c59fd698dcd9463d9014558ee99e7f98cac700c44240d1",
+    }
 
 
 def test_all_fields_survive_round_trip(tmp_path):

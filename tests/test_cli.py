@@ -494,6 +494,16 @@ def test_unwritable_out_exits_3_before_training(workdir, tmp_path, capsys, monke
     assert list(tmp_path.iterdir()) == []
 
 
+def test_metrics_path_that_is_a_directory_exits_3_before_training(workdir, tmp_path, capsys):
+    out = tmp_path / "pre.v2ap"
+    (tmp_path / "pre.v2ap.metrics.jsonl").mkdir()
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(workdir / "cfg.txt"),
+                 "--data", str(workdir / "easy.v2ds"), "--steps", "30", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: --out {out}.metrics.jsonl is a directory\n"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--index", "100000", "image index 100000 out of range [0, "),
     ("--layer", "-1", "layers [-1] out of range [0, 2)"),

@@ -6,6 +6,8 @@ separable, independent of anything the model code does.
 """
 
 import re
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +173,27 @@ def test_corrupt_payload_fails_checksum(tmp_path):
     blob[100] ^= 0xFF
     p.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="checksum"):
+        D.load_dataset(p)
+
+
+def _resealed(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_file_cut_inside_the_pixels_names_the_pixels(tmp_path):
+    ds = D.generate(small_spec(), seed=0)
+    p = tmp_path / "cut.v2ds"
+    D.save_dataset(ds, p)
+    p.write_bytes(_resealed(p.read_bytes()[:32 + ds.images.nbytes // 2]))
+    with pytest.raises(FormatError, match="^truncated file while reading pixels$"):
+        D.load_dataset(p)
+
+
+def test_resealed_file_with_a_byte_appended_names_the_trailing_bytes(tmp_path):
+    p = tmp_path / "long.v2ds"
+    D.save_dataset(D.generate(small_spec(), seed=0), p)
+    p.write_bytes(_resealed(p.read_bytes()[:-4] + b"\0"))
+    with pytest.raises(FormatError, match="^1 trailing byte\\(s\\) after labels$"):
         D.load_dataset(p)
 
 
